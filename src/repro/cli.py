@@ -27,6 +27,7 @@ from repro.core import (
     ProfilingConfig,
     XSPSession,
 )
+from repro.frameworks.optimizer import UnsupportedOpError
 from repro.models import get_model, list_models
 from repro.sim.hardware import SYSTEMS
 from repro.tracing.export import save_trace
@@ -482,7 +483,11 @@ _COMMANDS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except UnsupportedOpError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -215,12 +215,15 @@ class ProfileStore:
             ),
             "profile": profile_to_dict(profile),
         }
+        # json.dumps takes the C encoder (json.dump never does), and the
+        # entry lands in one write.
+        text = json.dumps(document)
         fd, tmp = tempfile.mkstemp(
             dir=self.root, prefix=path.name, suffix=".tmp"
         )
         try:
             with os.fdopen(fd, "w") as fh:
-                json.dump(document, fh)
+                fh.write(text)
             os.replace(tmp, path)
         except BaseException:
             try:

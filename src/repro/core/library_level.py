@@ -14,12 +14,14 @@ extensibility.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from itertools import groupby
+from typing import Any, Iterator
 
 from repro.sim.cuda import KernelLaunchRecord
 from repro.sim.kernels import KernelClass
-from repro.tracing.span import Level, Span
-from repro.tracing.tracer import BufferingTracer
+from repro.tracing.span import Level, new_span_id
+from repro.tracing.table import SpanView
+from repro.tracing.tracer import RowIngest, RowTracer
 
 #: Library tag (KernelSpec.tags["library"]) + kernel class -> API name.
 _API_NAMES: dict[tuple[str, KernelClass], str] = {
@@ -49,55 +51,40 @@ def api_name_for(record: KernelLaunchRecord) -> str:
     return "launchGenericOp"
 
 
-class LibraryTracer(BufferingTracer):
-    """Tracer synthesizing library-API spans from kernel launch records."""
+class LibraryTracer(RowTracer):
+    """Tracer synthesizing library-API rows from kernel launch records."""
 
-    def __init__(
-        self,
-        sink: Callable[[Span], None] | None = None,
-        batch_sink: Callable[[Iterable[Span]], None] | None = None,
-    ) -> None:
-        super().__init__("library_tracer", Level.LIBRARY, sink, batch_sink)
+    def __init__(self, ingest: RowIngest | None = None) -> None:
+        super().__init__("library_tracer", Level.LIBRARY, ingest)
 
-    def convert(self, launch_records: list[KernelLaunchRecord]) -> list[Span]:
-        """One span per maximal run of launches belonging to the same API
+    def convert(self, launch_records: list[KernelLaunchRecord]) -> list[SpanView]:
+        """One row per maximal run of launches belonging to the same API
         call within the same layer.
 
         A library API call (e.g. cudnnConvolutionForward) may launch
         several kernels back-to-back (ShuffleTensor + OffsetComp + the
         GEMM); its host interval covers all their launch API calls.
         """
-        spans: list[Span] = []
-        group: list[KernelLaunchRecord] = []
-        group_key: tuple[str, object] | None = None
+        runs = groupby(
+            launch_records,
+            key=lambda r: (api_name_for(r), r.spec.tags.get("layer_index")),
+        )
 
-        def flush() -> None:
-            if not group:
-                return
-            api = api_name_for(group[0])
-            spans.append(
-                Span(
-                    name=api,
-                    start_ns=group[0].api_start_ns,
-                    end_ns=group[-1].api_end_ns,
-                    level=Level.LIBRARY,
-                    tags={
+        def rows() -> Iterator[dict[str, Any]]:
+            for (api, layer_index), run in runs:
+                group = list(run)
+                yield {
+                    "name": api,
+                    "start_ns": group[0].api_start_ns,
+                    "end_ns": group[-1].api_end_ns,
+                    "level": self.level,
+                    "span_id": new_span_id(),
+                    "tags": {
                         "library": str(group[0].spec.tags.get("library", "")),
                         "n_kernels": len(group),
-                        "layer_index": group[0].spec.tags.get("layer_index"),
+                        "layer_index": layer_index,
+                        "tracer": self.name,
                     },
-                )
-            )
+                }
 
-        for record in launch_records:
-            key = (
-                api_name_for(record),
-                record.spec.tags.get("layer_index"),
-            )
-            if key != group_key:
-                flush()
-                group = []
-                group_key = key
-            group.append(record)
-        flush()
-        return self.publish_many(spans)
+        return self.ingest(rows()).views()

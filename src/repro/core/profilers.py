@@ -12,47 +12,48 @@
    span*; the two carry the CUPTI ``correlation_id``.  GPU metrics are
    attached to the execution span as ``metric.*`` tags.
 
-Launch spans are published without parents; parent reconstruction happens
-offline via the interval tree (:func:`repro.tracing.correlation.reconstruct_parents`).
+The layer and GPU tracers convert offline and row-natively: they build
+trace-row fields straight from the native profile and the CUPTI records
+and ingest each dump in one batch - no ``Span`` objects are built.  Rows
+are generated as the trace consumes them, so a dump never exists twice
+in memory.  Launch spans are ingested without parents; parent
+reconstruction happens offline via the interval tree
+(:func:`repro.tracing.correlation.reconstruct_parents`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterator
 
 from repro.frameworks.profiler_format import PARSERS
 from repro.sim.cupti import ActivityRecord, ApiRecord
-from repro.tracing.span import Level, Span, SpanKind
-from repro.tracing.tracer import BufferingTracer
+from repro.tracing.span import Level, Span, SpanKind, new_span_id
+from repro.tracing.table import SpanView
+from repro.tracing.tracer import BufferingTracer, RowIngest, RowTracer
 
 _Sink = Callable[[Span], None]
-_BatchSink = Callable[[Iterable[Span]], None]
 
 
 class ModelTracer(BufferingTracer):
     """Tracer for user-code (model-level) spans."""
 
-    def __init__(
-        self, sink: _Sink | None = None, batch_sink: _BatchSink | None = None
-    ) -> None:
-        super().__init__("model_tracer", Level.MODEL, sink, batch_sink)
+    def __init__(self, sink: _Sink | None = None) -> None:
+        super().__init__("model_tracer", Level.MODEL, sink)
 
 
-class LayerTracer(BufferingTracer):
-    """Tracer converting framework-native layer profiles into spans."""
+class LayerTracer(RowTracer):
+    """Tracer converting framework-native layer profiles into trace rows."""
 
-    def __init__(
-        self, sink: _Sink | None = None, batch_sink: _BatchSink | None = None
-    ) -> None:
-        super().__init__("layer_tracer", Level.LAYER, sink, batch_sink)
+    def __init__(self, ingest: RowIngest | None = None) -> None:
+        super().__init__("layer_tracer", Level.LAYER, ingest)
 
     def convert(
         self,
         native_profile: dict[str, Any],
         framework_name: str,
         parent_span_id: int | None,
-    ) -> list[Span]:
-        """Parse a native profile and publish one span per layer.
+    ) -> list[SpanView]:
+        """Parse a native profile and ingest one row per layer.
 
         Layer spans are set as children of the model-prediction span, so
         "each layer [is] directly correlated to the model prediction step".
@@ -64,58 +65,61 @@ class LayerTracer(BufferingTracer):
                 f"no profile parser registered for framework {framework_name!r}; "
                 f"known: {sorted(PARSERS)}"
             ) from None
-        return self.publish_many(
-            Span(
-                name=record.name,
-                start_ns=record.start_ns,
-                end_ns=record.end_ns,
-                level=Level.LAYER,
-                parent_id=parent_span_id,
-                tags={
+        tracer = self.name
+        rows = (
+            {
+                "name": record.name,
+                "start_ns": record.start_ns,
+                "end_ns": record.end_ns,
+                "level": self.level,
+                "span_id": new_span_id(),
+                "parent_id": parent_span_id,
+                "tags": {
                     "layer_index": record.index,
                     "layer_type": record.layer_type,
                     "shape": record.shape,
                     "alloc_bytes": record.alloc_bytes,
+                    "tracer": tracer,
                 },
-            )
+            }
             for record in parser(native_profile)
         )
+        return self.ingest(rows).views()
 
 
-class GpuTracer(BufferingTracer):
-    """Tracer converting CUPTI callback/activity records into spans."""
+class GpuTracer(RowTracer):
+    """Tracer converting CUPTI callback/activity records into trace rows."""
 
-    def __init__(
-        self, sink: _Sink | None = None, batch_sink: _BatchSink | None = None
-    ) -> None:
-        super().__init__("gpu_tracer", Level.GPU_KERNEL, sink, batch_sink)
+    def __init__(self, ingest: RowIngest | None = None) -> None:
+        super().__init__("gpu_tracer", Level.GPU_KERNEL, ingest)
 
     def convert(
         self,
         api_records: list[ApiRecord],
         activity_records: list[ActivityRecord],
-    ) -> list[Span]:
-        """Publish a launch span per API record, an execution span per
-        activity — the kernel-dominated bulk of a capture, delivered as
-        one batch."""
+    ) -> list[SpanView]:
+        """Ingest a launch row per API record and an execution row per
+        activity - the kernel-dominated bulk of a capture, as one batch."""
         activity_names = {
             a.correlation_id: a.name
             for a in activity_records
             if a.kind == "kernel"
         }
+        tracer, level = self.name, self.level
 
-        def spans():
+        def rows() -> Iterator[dict[str, Any]]:
             for api in api_records:
-                yield Span(
+                yield {
                     # Label the launch with the launched kernel when known.
-                    name=activity_names.get(api.correlation_id, api.name),
-                    start_ns=api.start_ns,
-                    end_ns=api.end_ns,
-                    level=Level.GPU_KERNEL,
-                    kind=SpanKind.LAUNCH,
-                    correlation_id=api.correlation_id,
-                    tags={"api": api.name},
-                )
+                    "name": activity_names.get(api.correlation_id, api.name),
+                    "start_ns": api.start_ns,
+                    "end_ns": api.end_ns,
+                    "level": level,
+                    "span_id": new_span_id(),
+                    "kind": SpanKind.LAUNCH,
+                    "correlation_id": api.correlation_id,
+                    "tags": {"api": api.name, "tracer": tracer},
+                }
             for act in activity_records:
                 tags: dict[str, Any] = {
                     "stream_id": act.stream_id,
@@ -125,18 +129,19 @@ class GpuTracer(BufferingTracer):
                 }
                 for metric, value in act.metrics.items():
                     tags[f"metric.{metric}"] = value
-                yield Span(
-                    name=act.name,
-                    start_ns=act.start_ns,
-                    end_ns=act.end_ns,
-                    level=Level.GPU_KERNEL,
+                tags["tracer"] = tracer
+                kernel = act.kind == "kernel"
+                yield {
+                    "name": act.name,
+                    "start_ns": act.start_ns,
+                    "end_ns": act.end_ns,
+                    "level": level,
+                    "span_id": new_span_id(),
                     # Memory copies are synchronous host-visible activities;
                     # kernels are the async launch/execution pairs.
-                    kind=(SpanKind.EXECUTION if act.kind == "kernel"
-                          else SpanKind.INTERNAL),
-                    correlation_id=(act.correlation_id if act.kind == "kernel"
-                                    else None),
-                    tags=tags,
-                )
+                    "kind": SpanKind.EXECUTION if kernel else SpanKind.INTERNAL,
+                    "correlation_id": act.correlation_id if kernel else None,
+                    "tags": tags,
+                }
 
-        return self.publish_many(spans())
+        return self.ingest(rows()).views()

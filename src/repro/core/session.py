@@ -12,7 +12,7 @@ A session binds a system (GPU), a framework, and a tracing server.  Each
    prediction, output post-processing — with ``startSpan``/``finishSpan``
    around each step,
 4. converts the framework profiler's native output and CUPTI's records
-   into spans and publishes everything to the tracing server,
+   into trace rows and ingests them into the tracing server,
 5. reconstructs the across-stack hierarchy offline (interval tree +
    launch/execution correlation) and, if parallel events made parentage
    ambiguous, automatically re-runs serialized — the paper's prescribed
@@ -22,6 +22,7 @@ A session binds a system (GPU), a framework, and a tracing server.  Each
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Any
 
 from repro.core.api import start_span
@@ -220,10 +221,8 @@ class XSPSession:
             batch=batch,
             levels=config.levels.label,
         )
-        publish_many = self.server.publish_many
+        ingest = partial(self.server.ingest_rows, trace_id)
         model_tracer = ModelTracer(self.server.publish)
-        layer_tracer = LayerTracer(self.server.publish, publish_many)
-        gpu_tracer = GpuTracer(self.server.publish, publish_many)
 
         # -- the model-level evaluation pipeline -------------------------------
         pre = start_span(model_tracer, clock.now, "input_preprocess", batch=batch)
@@ -240,19 +239,16 @@ class XSPSession:
 
         # -- offline conversion of the other profilers' outputs -----------------
         if config.layer_profiling and prediction.native_profile is not None:
-            layer_tracer.convert(
+            LayerTracer(ingest).convert(
                 prediction.native_profile, framework.name, predict_span.span_id
             )
         if cupti is not None:
             api_records, activity_records = cupti.flush()
-            gpu_tracer.convert(api_records, activity_records)
+            GpuTracer(ingest).convert(api_records, activity_records)
         if Level.LIBRARY in config.levels:
             # Sec. III-E extension: cuDNN/cuBLAS API-call spans between the
             # layer and GPU-kernel levels, synthesized from launch records.
-            library_tracer = LibraryTracer(
-                self.server.publish, self.server.publish_many
-            )
-            library_tracer.convert(runtime.launch_records)
+            LibraryTracer(ingest).convert(runtime.launch_records)
 
         trace = self.server.end_trace(trace_id)
         correlation = reconstruct_parents(trace, strict=False)
@@ -294,14 +290,21 @@ class XSPSession:
 
         ``trace_id`` lets a caller pre-open the destination trace (and
         attach stream cursors to it) before this method runs; by default
-        a fresh trace is begun here.
+        a fresh trace is begun here, annotated with the session's system
+        and framework.
         """
         if not workload:
             raise ValueError("application workload is empty")
         config = config or ProfilingConfig()
         runs: list[ProfiledRun] = []
         if trace_id is None:
-            trace_id = self.server.begin_trace(application=name)
+            # The coordinates every evaluation shares, so that a profile
+            # derived from the capture knows its system and framework.
+            trace_id = self.server.begin_trace(
+                application=name,
+                system=self.gpu.name,
+                framework=self.framework_cls.name,
+            )
         else:
             self.server.annotate_trace(trace_id, application=name)
         app_span_id = new_span_id()

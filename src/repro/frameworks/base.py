@@ -7,6 +7,11 @@ allocates the output tensor, launches the layer's kernels, and waits for
 the stream.  The difference between a layer's latency and its kernels'
 device time is the paper's "non-GPU latency" (Fig. 8).
 
+Lowering happens once per (model, batch, GPU): :meth:`Framework.kernel_plan`
+turns the layer plan into a cached :class:`KernelPlan` (shapes, host
+costs, tagged kernels and their roofline durations), and every run of a
+leveled experiment replays it, applying only per-run effects.
+
 The built-in layer profiler mirrors the real frameworks': enabling it adds
 per-layer overhead to the prediction latency while the recorded per-layer
 latencies stay accurate (the basis of leveled experimentation, Fig. 2);
@@ -35,6 +40,8 @@ from repro.sim.calibration import (
     ProfilingCalibration,
 )
 from repro.sim.cuda import CudaRuntime
+from repro.sim.hardware import GPUSpec
+from repro.sim.kernels import KernelSpec, roofline_ns
 from repro.sim.memory import Allocation
 
 
@@ -81,6 +88,10 @@ class CompiledModel:
     framework: str
     weight_bytes: int
     _shape_cache: dict[int, dict[str, TensorShape]] = field(default_factory=dict)
+    #: Lowered kernel plans, keyed on (batch, GPU) - see Framework.kernel_plan.
+    _kernel_plans: dict[tuple[int, GPUSpec], "KernelPlan"] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def shapes(self, batch: int) -> dict[str, TensorShape]:
         if batch not in self._shape_cache:
@@ -96,6 +107,42 @@ class CompiledModel:
         for layer in self.plan:
             hist[layer.layer_type] = hist.get(layer.layer_type, 0) + 1
         return hist
+
+
+@dataclass(frozen=True)
+class PlannedLayer:
+    """One layer of a :class:`KernelPlan`: everything a run replays."""
+
+    layer: PlanLayer
+    #: Output tensor dims (reported by the layer profiler).
+    dims: tuple[int, ...]
+    #: Device bytes allocated for the output (0: no allocation).
+    alloc_bytes: int
+    #: Host-side scheduling cost before the layer's work is issued.
+    host_us: float
+    #: Input feed copied host-to-device (Data layers only, else None).
+    h2d_bytes: int | None
+    #: (kernel spec tagged with the layer, pre-jitter roofline ns).
+    kernels: tuple[tuple[KernelSpec, float], ...]
+    #: Input tensors whose last consumer this layer is (freed after it).
+    frees: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class KernelPlan:
+    """A compiled model lowered for one (batch, GPU): a flat layer list.
+
+    Everything run-invariant is computed once - output shapes and
+    allocation sizes, host costs, the kernels each layer launches (tags
+    included) and their roofline durations.  A prediction replays it and
+    applies only per-run effects: the run's jitter, profiler overheads,
+    launch blocking and device memory accounting.
+    """
+
+    layers: tuple[PlannedLayer, ...]
+    #: Bytes of each model output copied back to the host.
+    output_bytes: tuple[int, ...]
+    output_shapes: dict[str, tuple[int, ...]]
 
 
 class Framework(abc.ABC):
@@ -178,63 +225,133 @@ class Framework(abc.ABC):
             )
         rt = self.runtime
         clock = rt.clock
+        memory = rt.memory
+        launch = rt.launch_kernel
         profiling = self._profiling_active(options)
-        shapes = model.shapes(batch)
+        layer_us = self.profiling_calibration.framework_layer_us
+        plan = self.kernel_plan(model, batch)
 
         start_ns = clock.now()
         clock.advance_us(self.host.run_fixed_us + self.host.per_image_us * batch)
         weights: Allocation | None = None
         if model.weight_bytes:
-            weights = rt.memory.alloc(
+            weights = memory.alloc(
                 model.weight_bytes, tag="__weights__", timestamp_ns=clock.now()
             )
 
-        refcounts = self._consumer_counts(model.plan)
         live: dict[str, Allocation] = {}
         records: list[LayerRecord] = []
-
-        for layer in model.plan:
-            out_shape = shapes[layer.source]
-            self._execute_layer(layer, out_shape, shapes, live, records, profiling)
-            self._release_dead_inputs(layer, refcounts, live)
+        for step in plan.layers:
+            layer = step.layer
+            layer_start = clock.now()
+            clock.advance_us(step.host_us)
+            if step.alloc_bytes:
+                live[layer.name] = memory.alloc(
+                    step.alloc_bytes, tag=layer.name, timestamp_ns=clock.now()
+                )
+            if step.h2d_bytes is not None:
+                # Feeding the input: host-to-device copy of the input tensor.
+                rt.memcpy(step.h2d_bytes, kind="h2d")
+            else:
+                for spec, roofline in step.kernels:
+                    launch(spec, roofline_ns=roofline)
+                rt.stream_synchronize()
+            if profiling:
+                records.append(
+                    LayerRecord(
+                        index=layer.index,
+                        name=layer.name,
+                        layer_type=layer.layer_type,
+                        shape=step.dims,
+                        start_ns=layer_start,
+                        end_ns=clock.now(),
+                        alloc_bytes=step.alloc_bytes,
+                    )
+                )
+                # The profiler's own record-keeping cost lands *after* the
+                # measured region: layer latencies stay accurate while the
+                # prediction latency inflates (Fig. 2).
+                clock.advance_us(layer_us)
+            for name in step.frees:
+                alloc = live.pop(name, None)
+                if alloc is not None:
+                    memory.free(alloc, timestamp_ns=clock.now())
 
         # Copy the model output(s) back to the host.
-        for out in model.graph.outputs():
-            rt.memcpy(shapes[out.name].nbytes, kind="d2h")
+        for nbytes in plan.output_bytes:
+            rt.memcpy(nbytes, kind="d2h")
         for alloc in live.values():
-            rt.memory.free(alloc, timestamp_ns=clock.now())
+            memory.free(alloc, timestamp_ns=clock.now())
         if weights is not None:
-            rt.memory.free(weights, timestamp_ns=clock.now())
+            memory.free(weights, timestamp_ns=clock.now())
 
         end_ns = clock.now()
         return PredictionResult(
             batch=batch,
             start_ns=start_ns,
             end_ns=end_ns,
-            output_shapes={
-                out.name: shapes[out.name].dims for out in model.graph.outputs()
-            },
+            output_shapes=dict(plan.output_shapes),
             native_profile=self.serialize_profile(records) if profiling else None,
-            peak_device_memory_bytes=rt.memory.peak_bytes,
+            peak_device_memory_bytes=memory.peak_bytes,
         )
 
-    # -- internals ---------------------------------------------------------------------
-    def _execute_layer(
-        self,
-        layer: PlanLayer,
-        out_shape: TensorShape,
-        shapes: dict[str, TensorShape],
-        live: dict[str, Allocation],
-        records: list[LayerRecord],
-        profiling: bool,
-    ) -> None:
-        rt = self.runtime
-        clock = rt.clock
-        layer_start = clock.now()
+    # -- lowering ----------------------------------------------------------------
+    def kernel_plan(self, model: CompiledModel, batch: int) -> KernelPlan:
+        """The model lowered for ``batch`` on this runtime's GPU, cached on
+        the compiled model: every run of a session replays one plan."""
+        key = (batch, self.runtime.gpu)
+        plan = model._kernel_plans.get(key)
+        if plan is None:
+            plan = model._kernel_plans[key] = self._lower(model, batch)
+        return plan
 
-        out_bytes = 0 if layer.op in ("Reshape",) else out_shape.nbytes
+    def _lower(self, model: CompiledModel, batch: int) -> KernelPlan:
+        gpu = self.runtime.gpu
+        shapes = model.shapes(batch)
+        refcounts: dict[str, int] = {}
+        for layer in model.plan:
+            for inp in layer.inputs:
+                refcounts[inp] = refcounts.get(inp, 0) + 1
+
+        layers = []
+        for layer in model.plan:
+            out_shape = shapes[layer.source]
+            out_bytes = 0 if layer.op == "Reshape" else out_shape.nbytes
+            kernels: tuple[tuple[KernelSpec, float], ...] = ()
+            if layer.op != "Data":
+                tagged = [
+                    spec.with_tags(layer_index=layer.index, layer_name=layer.name)
+                    for spec in self.emit_kernels(layer, shapes)
+                ]
+                kernels = tuple((spec, roofline_ns(spec, gpu)) for spec in tagged)
+            frees = []
+            for inp in layer.inputs:
+                refcounts[inp] -= 1
+                if refcounts[inp] == 0:
+                    frees.append(inp)
+            layers.append(
+                PlannedLayer(
+                    layer=layer,
+                    dims=out_shape.dims,
+                    alloc_bytes=out_bytes,
+                    host_us=self._host_us(layer.op, out_bytes, out_shape.batch),
+                    h2d_bytes=out_shape.nbytes if layer.op == "Data" else None,
+                    kernels=kernels,
+                    frees=tuple(frees),
+                )
+            )
+        outputs = model.graph.outputs()
+        return KernelPlan(
+            layers=tuple(layers),
+            output_bytes=tuple(shapes[out.name].nbytes for out in outputs),
+            output_shapes={out.name: shapes[out.name].dims for out in outputs},
+        )
+
+    def _host_us(self, op: str, out_bytes: int, batch: int) -> float:
+        """Host cost of scheduling one layer (framework bookkeeping plus
+        the op's host-interactive extra, if any)."""
         extra_fixed, extra_per_mb, extra_per_image = self.HOST_EXTRA_US.get(
-            layer.op, (0.0, 0.0, 0.0)
+            op, (0.0, 0.0, 0.0)
         )
         out_mb = out_bytes / 1e6
         host_us = (
@@ -242,62 +359,6 @@ class Framework(abc.ABC):
             + self.host.layer_per_mb_us * out_mb
             + extra_fixed
             + extra_per_mb * out_mb
-            + extra_per_image * out_shape.batch
+            + extra_per_image * batch
         )
-        clock.advance_us(max(0.5, host_us))
-
-        if out_bytes:
-            live[layer.name] = rt.memory.alloc(
-                out_bytes, tag=layer.name, timestamp_ns=clock.now()
-            )
-
-        if layer.op == "Data":
-            # Feeding the input: host-to-device copy of the input tensor.
-            rt.memcpy(out_shape.nbytes, kind="h2d")
-        else:
-            for spec in self.emit_kernels(layer, shapes):
-                rt.launch_kernel(
-                    spec.with_tags(layer_index=layer.index, layer_name=layer.name)
-                )
-            rt.stream_synchronize()
-
-        layer_end = clock.now()
-        if profiling:
-            records.append(
-                LayerRecord(
-                    index=layer.index,
-                    name=layer.name,
-                    layer_type=layer.layer_type,
-                    shape=out_shape.dims,
-                    start_ns=layer_start,
-                    end_ns=layer_end,
-                    alloc_bytes=out_bytes,
-                )
-            )
-            # The profiler's own record-keeping cost lands *after* the
-            # measured region: layer latencies stay accurate while the
-            # prediction latency inflates (Fig. 2).
-            clock.advance_us(self.profiling_calibration.framework_layer_us)
-
-    @staticmethod
-    def _consumer_counts(plan: list[PlanLayer]) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for layer in plan:
-            for inp in layer.inputs:
-                counts[inp] = counts.get(inp, 0) + 1
-        return counts
-
-    def _release_dead_inputs(
-        self,
-        layer: PlanLayer,
-        refcounts: dict[str, int],
-        live: dict[str, Allocation],
-    ) -> None:
-        for inp in layer.inputs:
-            if inp not in refcounts:
-                continue
-            refcounts[inp] -= 1
-            if refcounts[inp] == 0 and inp in live:
-                self.runtime.memory.free(
-                    live.pop(inp), timestamp_ns=self.runtime.clock.now()
-                )
+        return max(0.5, host_us)

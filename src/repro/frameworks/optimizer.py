@@ -45,6 +45,22 @@ class RewriteRules:
     type_map: dict[str, str]
     #: Name layers "<node>/<Type>" (TF style) instead of bare node names.
     slash_names: bool
+    #: Framework registry name, for error messages.
+    framework: str
+
+    def native_type(self, neutral: str, node: Node) -> str:
+        """The framework's layer-type label for a neutral op."""
+        try:
+            return self.type_map[neutral]
+        except KeyError:
+            raise UnsupportedOpError(
+                f"{self.framework} cannot compile op {neutral!r} "
+                f"(node {node.name!r}): it has no {self.framework} layer type"
+            ) from None
+
+
+class UnsupportedOpError(ValueError):
+    """A graph op the target framework has no layer type for."""
 
 
 def _layer_name(node_name: str, native_type: str, *, slash: bool) -> str:
@@ -117,7 +133,7 @@ def build_plan(graph: Graph, rules: RewriteRules) -> list[PlanLayer]:
             continue
 
         neutral = _neutral_op(node)
-        native = rules.type_map[neutral]
+        native = rules.native_type(neutral, node)
         name = _layer_name(node.name, native, slash=rules.slash_names)
         emit(name, native, neutral, resolve_inputs(node), node.name,
              list(node.inputs), node.attrs)
@@ -210,6 +226,7 @@ TF_REWRITE_RULES = RewriteRules(
     split_dense=True,
     type_map=TF_TYPE_MAP,
     slash_names=True,
+    framework="tensorflow_like",
 )
 
 MX_REWRITE_RULES = RewriteRules(
@@ -217,4 +234,5 @@ MX_REWRITE_RULES = RewriteRules(
     split_dense=False,
     type_map=MX_TYPE_MAP,
     slash_names=False,
+    framework="mxnet_like",
 )

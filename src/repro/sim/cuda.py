@@ -129,14 +129,27 @@ class CudaRuntime:
         self._memcpy_callbacks.append(callback)
 
     # -- kernel launch -------------------------------------------------------
-    def launch_kernel(self, spec: KernelSpec, stream_id: int = 0) -> KernelLaunchRecord:
-        """Launch a kernel asynchronously; returns its combined record."""
+    def launch_kernel(
+        self,
+        spec: KernelSpec,
+        stream_id: int = 0,
+        *,
+        roofline_ns: float | None = None,
+    ) -> KernelLaunchRecord:
+        """Launch a kernel asynchronously; returns its combined record.
+
+        ``roofline_ns`` is the kernel's cached pre-jitter duration on
+        this GPU (a compiled kernel plan carries it); the run's jitter,
+        profiler overheads and launch blocking are applied here.
+        """
         stream = self.stream(stream_id)
         api_start = self.clock.now()
         self.clock.advance(self.launch_overhead_ns + self.profiler_launch_overhead_ns)
         api_end = self.clock.now()
 
-        clean_ns = kernel_duration_ns(spec, self.gpu, run_index=self.run_index)
+        clean_ns = kernel_duration_ns(
+            spec, self.gpu, run_index=self.run_index, roofline=roofline_ns
+        )
         busy_ns = (
             clean_ns * self.profiler_replay_passes
             + self.profiler_pass_overhead_ns * max(0, self.profiler_replay_passes - 1)

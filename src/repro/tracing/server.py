@@ -216,9 +216,7 @@ class TracingServer:
                 and tid not in self._traces
             ):
                 return  # addressed to an ended trace
-            if tid is None:
-                tid = self.begin_trace()
-            trace = self._traces.setdefault(tid, Trace(trace_id=tid))
+            trace = self._destination(tid)
             trace.add(span)
             self._cond.notify_all()
             subscribers = list(self._subscribers)
@@ -245,9 +243,7 @@ class TracingServer:
                     and tid not in self._traces
                 ):
                     continue  # addressed to an ended trace
-                if tid is None:
-                    tid = self.begin_trace()
-                trace = self._traces.setdefault(tid, Trace(trace_id=tid))
+                trace = self._destination(tid)
                 trace.add(span)
                 if self._subscribers:
                     published.append(span)
@@ -271,14 +267,48 @@ class TracingServer:
         :meth:`stream` cursors but not to span-object subscribers.
         Raises ``KeyError`` for an unknown or already-ended trace.
         """
-        count = 0
+        _, start, stop = self._append_rows(trace_id, rows)
+        return stop - start
+
+    def ingest_rows(
+        self, trace_id: int, rows: Iterable[Mapping[str, Any]]
+    ) -> RowBatch:
+        """Row-native ingest of converted profiler output into one open trace.
+
+        The layer, GPU and library tracers build :meth:`Trace.add_row`
+        fields straight from the profilers' records and land a whole
+        dump here under one lock acquisition (``rows`` may be a
+        generator; it is consumed under the lock); no ``Span`` is built.
+        Returns the ingested rows as a :class:`RowBatch`.  Like
+        :meth:`publish_rows`, the rows reach :meth:`stream` cursors but
+        not span-object subscribers; unlike it, this is the per-run
+        ingest of a capture, not a publication onto an application
+        timeline.  Raises ``KeyError`` for an unknown or ended trace.
+        """
+        return RowBatch(*self._append_rows(trace_id, rows))
+
+    def _append_rows(
+        self, trace_id: int, rows: Iterable[Mapping[str, Any]]
+    ) -> tuple[Trace, int, int]:
+        """Append ``rows`` to an open trace under one lock acquisition;
+        returns the trace and the new rows' [start, stop) range."""
         with self._lock:
             trace = self._traces[trace_id]
+            add_row = trace.add_row
+            start = trace.watermark
             for fields in rows:
-                trace.add_row(**fields)
-                count += 1
+                add_row(**fields)
             self._cond.notify_all()
-        return count
+            return trace, start, trace.watermark
+
+    def _destination(self, trace_id: int | None) -> Trace:
+        """The open trace a span goes to, created on first use (lock held)."""
+        if trace_id is None:
+            trace_id = self.begin_trace()
+        trace = self._traces.get(trace_id)
+        if trace is None:
+            trace = self._traces[trace_id] = Trace(trace_id=trace_id)
+        return trace
 
     def annotate_trace(self, trace_id: int, **metadata: object) -> None:
         """Merge metadata into an open trace, under the server lock."""

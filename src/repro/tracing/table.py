@@ -168,9 +168,9 @@ class SpanTable:
         )
         self.trace_id.append(trace_id)
         self.level.append(int(level))
-        self.kind.append(
-            kind if isinstance(kind, int) else _KIND_CODE[kind]
-        )
+        # KINDS.index compares by identity in C; a dict lookup would run
+        # Enum.__hash__ in Python for every row.
+        self.kind.append(kind if isinstance(kind, int) else KINDS.index(kind))
         name_id = self._name_ids.get(name)
         if name_id is None:
             name_id = len(self._names)

@@ -10,9 +10,14 @@ from __future__ import annotations
 
 import abc
 import contextlib
-from typing import Any, Callable, Iterable, Iterator
+from functools import partial
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
+from repro.tracing.server import RowBatch, TracingServer
 from repro.tracing.span import Level, Span, SpanKind
+
+#: ``TracingServer.ingest_rows`` bound to a trace: rows in, row batch out.
+RowIngest = Callable[[Iterable[Mapping[str, Any]]], RowBatch]
 
 
 class Tracer(abc.ABC):
@@ -20,11 +25,9 @@ class Tracer(abc.ABC):
 
     The sink is a callable (usually :meth:`repro.tracing.server.TracingServer.publish`)
     so that tracers do not depend on the server implementation — spans may
-    equally be buffered and converted offline, as the paper allows.  An
-    optional ``batch_sink`` (usually
-    :meth:`~repro.tracing.server.TracingServer.publish_many`) lets
-    offline-conversion tracers deliver a whole profiler dump in one
-    call — one server lock round per batch instead of one per span.
+    equally be buffered and converted offline, as the paper allows.
+    Offline conversion of a whole profiler dump is :class:`RowTracer`'s
+    job.
     """
 
     def __init__(
@@ -32,12 +35,10 @@ class Tracer(abc.ABC):
         name: str,
         level: Level,
         sink: Callable[[Span], None] | None = None,
-        batch_sink: Callable[[Iterable[Span]], None] | None = None,
     ) -> None:
         self.name = name
         self.level = level
         self._sink = sink
-        self._batch_sink = batch_sink
         self._enabled = True
 
     # -- enable/disable -------------------------------------------------
@@ -59,43 +60,9 @@ class Tracer(abc.ABC):
         span.tags.setdefault("tracer", self.name)
         self.emit(span)
 
-    def publish_many(
-        self, spans: Iterable[Span], *, chunk_size: int | None = None
-    ) -> list[Span]:
-        """Publish a batch of finished spans; returns the published list.
-
-        Tags each span like :meth:`publish` and delivers the batch
-        through :meth:`emit_many` (one ``batch_sink`` call when the
-        tracer has one).  ``chunk_size`` splits delivery into bounded
-        chunks — one server lock round each — so live stream cursors see
-        a long offline conversion land progressively instead of as one
-        giant burst.  A disabled tracer suppresses publication only: the
-        spans are still materialized and returned (untagged), exactly as
-        per-span :meth:`publish` loops behaved.
-        """
-        if not self._enabled:
-            return list(spans)
-        batch = []
-        pending = 0
-        for span in spans:
-            span.tags.setdefault("tracer", self.name)
-            batch.append(span)
-            pending += 1
-            if chunk_size is not None and pending >= chunk_size:
-                self.emit_many(batch[-pending:])
-                pending = 0
-        if pending:
-            self.emit_many(batch[-pending:] if chunk_size is not None else batch)
-        return batch
-
     @abc.abstractmethod
     def emit(self, span: Span) -> None:
         """Deliver a span to the sink. Subclasses decide buffering policy."""
-
-    def emit_many(self, batch: list[Span]) -> None:
-        """Deliver a batch; defaults to per-span :meth:`emit`."""
-        for span in batch:
-            self.emit(span)
 
     # -- convenience -----------------------------------------------------
     def span(
@@ -164,23 +131,14 @@ class BufferingTracer(Tracer):
         name: str,
         level: Level,
         sink: Callable[[Span], None] | None = None,
-        batch_sink: Callable[[Iterable[Span]], None] | None = None,
     ) -> None:
-        super().__init__(name, level, sink, batch_sink)
+        super().__init__(name, level, sink)
         self.buffer: list[Span] = []
 
     def emit(self, span: Span) -> None:
         self.buffer.append(span)
         if self._sink is not None:
             self._sink(span)
-
-    def emit_many(self, batch: list[Span]) -> None:
-        self.buffer.extend(batch)
-        if self._batch_sink is not None:
-            self._batch_sink(batch)
-        elif self._sink is not None:
-            for span in batch:
-                self._sink(span)
 
     def drain(self) -> list[Span]:
         """Return and clear the local buffer."""
@@ -193,3 +151,28 @@ class NoopTracer(Tracer):
 
     def emit(self, span: Span) -> None:  # noqa: D102 - interface impl
         pass
+
+
+class RowTracer:
+    """Converts a profiler's buffered output straight into trace rows.
+
+    The offline-conversion tracers (layer, GPU kernel, library) build
+    :meth:`~repro.tracing.trace.Trace.add_row` fields from the
+    profiler's own records - no ``Span`` object in between - and hand a
+    whole dump to :attr:`ingest` in one call: usually
+    :meth:`~repro.tracing.server.TracingServer.ingest_rows` bound to the
+    open trace (one server lock round per dump), by default a trace on a
+    private server.  Either way the call returns the rows as a
+    :class:`~repro.tracing.server.RowBatch`; ``convert`` methods hand
+    back its span views, one per ingested row.
+    """
+
+    def __init__(
+        self, name: str, level: Level, ingest: RowIngest | None = None
+    ) -> None:
+        if ingest is None:
+            server = TracingServer()
+            ingest = partial(server.ingest_rows, server.begin_trace())
+        self.name = name
+        self.level = level
+        self.ingest = ingest

@@ -67,3 +67,21 @@ def test_mixed_model_application(cnn_graph):
     )
     models = {s.tags.get("model") for s in trace.at_level(Level.LAYER)}
     assert models == {"small_cnn", "DeepLabv3_MobileNet_v2"}
+
+
+def test_self_opened_trace_records_system_and_framework(cnn_graph):
+    """Without a pre-opened trace, the capture still knows its system
+    and framework, so advising over it works."""
+    from repro.analysis.diff.sources import profile_from_trace
+    from repro.insights import advise
+
+    session = XSPSession("Tesla_V100", "mxnet_like")
+    trace, _ = session.profile_application(
+        [(cnn_graph, 2)], config=ProfilingConfig(metrics=())
+    )
+    assert trace.metadata["system"] == "Tesla_V100"
+    assert trace.metadata["framework"] == "mxnet_like"
+    profile = profile_from_trace(trace)
+    assert profile.system == "Tesla_V100"
+    report = advise(profile, trace=trace)
+    assert report.insights

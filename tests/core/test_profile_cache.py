@@ -214,3 +214,22 @@ def test_get_ignores_orphaned_tmp_files(graph, store):
                      BATCH, RUNS)
     assert warm is not None
     assert warm.model_latency_ms == profile.model_latency_ms
+
+
+def test_put_writes_the_same_bytes_as_the_streaming_encoder(graph, store):
+    """put() encodes with json.dumps in one write; the file must hold
+    exactly what json.dump of the same document wrote."""
+    import io
+
+    profile = _pipeline().profile_model(graph, BATCH)
+    path = store.put(profile, runs_per_level=RUNS)
+    document = {
+        "schema_version": cache_mod.SCHEMA_VERSION,
+        "key": store.key(profile.model_name, profile.system,
+                         profile.framework, profile.batch, RUNS,
+                         "trimmed_mean"),
+        "profile": cache_mod.profile_to_dict(profile),
+    }
+    streamed = io.StringIO()
+    json.dump(document, streamed)
+    assert path.read_bytes() == streamed.getvalue().encode()

@@ -109,3 +109,27 @@ def test_run_index_changes_latency_slightly(v100_session, cnn_graph):
     b = _run(v100_session, cnn_graph, levels=M, run_index=1)
     assert a.model_latency_ms != b.model_latency_ms
     assert abs(a.model_latency_ms - b.model_latency_ms) < 0.2 * a.model_latency_ms
+
+
+def test_profiler_output_is_ingested_without_span_objects(
+    cnn_graph, monkeypatch
+):
+    """Layer, GPU and library output go straight into trace rows: the
+    only Span objects a run builds are the model tracer's three."""
+    from repro.core import MLLibG
+    from repro.tracing import span as span_mod
+
+    built = []
+    original = span_mod.Span.__post_init__
+
+    def counting(self):
+        built.append(self.name)
+        original(self)
+
+    monkeypatch.setattr(span_mod.Span, "__post_init__", counting)
+    session = XSPSession("Tesla_V100", "tensorflow_like")
+    run = session.profile(cnn_graph, 2, ProfilingConfig(levels=MLLibG))
+    assert built == ["input_preprocess", "predict", "output_postprocess"]
+    assert {s.level for s in run.trace} == {
+        Level.MODEL, Level.LAYER, Level.LIBRARY, Level.GPU_KERNEL
+    }

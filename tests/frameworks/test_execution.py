@@ -138,3 +138,84 @@ def test_compiled_model_helpers(cnn_graph):
     shapes = model.shapes(4)
     assert shapes["softmax"].dims == (4, 10)
     assert model.shapes(4) is shapes  # cached
+
+
+def _count_lowering(monkeypatch, cls):
+    calls = []
+    original = cls.emit_kernels
+
+    def counting(self, layer, shapes):
+        calls.append(layer.name)
+        return original(self, layer, shapes)
+
+    monkeypatch.setattr(cls, "emit_kernels", counting)
+    return calls
+
+
+def test_kernel_plan_lowered_once_per_batch_and_gpu(cnn_graph, monkeypatch):
+    """Every run of a session replays one cached plan per (batch, GPU)."""
+    calls = _count_lowering(monkeypatch, TFSim)
+    rt, fw = make()
+    model = fw.load(cnn_graph)
+    first = fw.predict(model, 4)
+    per_plan = len(calls)
+    assert per_plan == sum(1 for l in model.plan if l.op != "Data")
+    rt.reset()
+    second = fw.predict(model, 4, RunOptions(trace_level="FULL"))
+    assert len(calls) == per_plan
+    assert second.output_shapes == first.output_shapes
+    fw.predict(model, 8)
+    assert len(calls) == 2 * per_plan
+    # Same compiled model on another GPU: lowered again for that device.
+    other = TFSim(CudaRuntime(get_system("Quadro_RTX"), VirtualClock()))
+    other.predict(model, 4)
+    assert len(calls) == 3 * per_plan
+    assert fw.kernel_plan(model, 4) is fw.kernel_plan(model, 4)
+
+
+def test_replayed_plan_matches_a_fresh_lowering(cnn_graph):
+    """A run replaying the cached plan is identical to one that lowers
+    from scratch, jitter and launch records included."""
+    def run(model, run_index):
+        rt = CudaRuntime(V100, VirtualClock(), run_index=run_index)
+        result = TFSim(rt).predict(model, 4, RunOptions(trace_level="FULL"))
+        launches = [(r.spec.name, dict(r.spec.tags), r.device_start_ns,
+                     r.device_end_ns) for r in rt.launch_records]
+        return result.latency_ns, result.native_profile, launches
+
+    warm = make()[1].load(cnn_graph)
+    run(warm, 0)
+    for run_index in (0, 1):
+        cold = make()[1].load(cnn_graph)
+        assert run(warm, run_index) == run(cold, run_index)
+
+
+def test_launch_with_cached_roofline_uses_the_one_duration_formula():
+    from repro.sim.kernels import (
+        KernelClass,
+        KernelSpec,
+        kernel_duration_ns,
+        roofline_ns,
+    )
+
+    spec = KernelSpec("k", KernelClass.GEMM, 4e9, 1e7, 1e7, blocks=320)
+    rt = CudaRuntime(V100, VirtualClock(), run_index=2)
+    cached = rt.launch_kernel(spec, roofline_ns=roofline_ns(spec, V100))
+    fresh = rt.launch_kernel(spec)
+    expected = kernel_duration_ns(spec, V100, run_index=2)
+    assert cached.duration_ns == fresh.duration_ns == expected
+
+
+def test_out_of_memory_still_raised_on_replay(cnn_graph):
+    """Device memory accounting is per run: a cached plan that does not
+    fit raises every time, and leaves a smaller batch runnable."""
+    from repro.sim.memory import OutOfDeviceMemoryError
+
+    rt, fw = make()
+    model = fw.load(cnn_graph)
+    huge = 2_000_000
+    for _ in range(2):
+        with pytest.raises(OutOfDeviceMemoryError):
+            fw.predict(model, huge)
+        rt.reset()
+    assert fw.predict(model, 4).latency_ns > 0

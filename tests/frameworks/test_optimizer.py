@@ -78,3 +78,22 @@ def test_identity_folded_away():
     assert not any("id" == n for n in names)
     relu = next(l for l in plan if l.layer_type == "Relu")
     assert relu.inputs == ["input/Data"]
+
+
+def test_unsupported_op_names_framework_op_and_node():
+    """An op the framework has no layer type for is a ValueError naming
+    the framework, the op and the node, not a bare KeyError."""
+    import pytest
+
+    from repro.frameworks import Graph
+    from repro.frameworks.optimizer import UnsupportedOpError
+
+    g = Graph("bias")
+    g.add_op("input", "Input", shape=(8,))
+    g.add_op("bias_add", "BiasAdd", ["input"])
+    with pytest.raises(UnsupportedOpError) as err:
+        build_plan(g, MX_REWRITE_RULES)
+    assert isinstance(err.value, ValueError)
+    message = str(err.value)
+    assert "mxnet_like" in message
+    assert "'BiasAdd'" in message and "'bias_add'" in message

@@ -216,3 +216,14 @@ def test_trace_both_formats(tmp_path):
 def test_trace_without_any_output_errors(capsys):
     assert main(["trace", "--model", "53", "--batch", "1"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_profile_unsupported_op_exits_1_with_one_line(capsys):
+    """Table VIII's AlexNet has a BiasAdd node MXNet has no layer for."""
+    assert main(["profile", "--framework", "mxnet_like", "--model", "32",
+                 "--runs", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: mxnet_like cannot compile op 'BiasAdd'")

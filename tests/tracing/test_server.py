@@ -72,44 +72,6 @@ def test_publish_many_drops_spans_for_ended_traces():
     assert server.traces() == []
 
 
-def test_buffering_tracer_batch_sink_reaches_server():
-    """publish_many on a tracer with a batch sink lands the whole batch
-    in the active trace, tagged with the tracer's name."""
-    from repro.tracing import BufferingTracer
-
-    server = TracingServer()
-    tid = server.begin_trace()
-    tracer = BufferingTracer(
-        "gpu", Level.GPU_KERNEL, server.publish, server.publish_many
-    )
-    published = tracer.publish_many(
-        _span(f"k{i}", i, i + 1, Level.GPU_KERNEL) for i in range(3)
-    )
-    assert [s.name for s in published] == ["k0", "k1", "k2"]
-    assert [s.name for s in tracer.buffer] == ["k0", "k1", "k2"]
-    trace = server.end_trace(tid)
-    assert [s.name for s in trace.spans] == ["k0", "k1", "k2"]
-    assert all(s.tags["tracer"] == "gpu" for s in trace.spans)
-
-
-def test_disabled_tracer_suppresses_batch_publication_only():
-    """Like per-span publish: a disabled tracer still returns the
-    converted spans (untagged), it just publishes and buffers nothing."""
-    from repro.tracing import BufferingTracer
-
-    server = TracingServer()
-    tid = server.begin_trace()
-    tracer = BufferingTracer(
-        "gpu", Level.GPU_KERNEL, server.publish, server.publish_many
-    )
-    tracer.disable()
-    returned = tracer.publish_many([_span("suppressed")])
-    assert [s.name for s in returned] == ["suppressed"]
-    assert "tracer" not in returned[0].tags
-    assert tracer.buffer == []
-    assert len(server.end_trace(tid)) == 0
-
-
 def test_multiple_tracers_aggregate_into_one_timeline():
     """The core idea: spans from different tracers merge into one trace."""
     from repro.tracing import BufferingTracer
@@ -212,3 +174,56 @@ def test_publish_after_clear_is_dropped_too():
     late.trace_id = tid
     server.publish(late)
     assert server.traces() == []
+
+
+def test_publication_builds_a_trace_only_on_a_miss(monkeypatch):
+    """Publishing into an existing trace must not construct (and throw
+    away) a Trace with a fresh SpanTable per span."""
+    import repro.tracing.server as server_mod
+    from repro.tracing.trace import Trace
+
+    built = []
+
+    class CountingTrace(Trace):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(server_mod, "Trace", CountingTrace)
+    server = TracingServer()
+    tid = server.begin_trace()
+    for i in range(5):
+        server.publish(_span(f"p{i}", i, i + 1))
+    server.publish_many(_span(f"m{i}", i, i + 1) for i in range(5))
+    assert len(built) == 1  # begin_trace's
+    assert len(server.end_trace(tid)) == 10
+    # A span addressed to an unknown open id creates its trace once.
+    server.publish_many(_span(f"o{i}") for i in range(3))
+    assert len(built) == 2
+
+
+def test_ingest_rows_appends_without_publishing_rows(monkeypatch):
+    """Per-run ingest lands rows in the open trace, returns them as
+    views, and does not count as an application-timeline publication."""
+    server = TracingServer()
+    published = []
+    monkeypatch.setattr(server, "publish_rows",
+                        lambda *a, **k: published.append(a))
+    tid = server.begin_trace()
+    server.publish(_span("first"))
+    stream = server.stream(tid)
+    rows = [dict(name=f"r{i}", start_ns=i, end_ns=i + 1, level=Level.LAYER,
+                 span_id=100 + i, tags={"tracer": "layer_tracer"})
+            for i in range(3)]
+    batch = server.ingest_rows(tid, rows)
+    assert (batch.start, batch.stop) == (1, 4)
+    views = batch.views()
+    assert [s.name for s in views] == ["r0", "r1", "r2"]
+    assert views[1].span_id == 101 and views[-1].trace_id == tid
+    assert published == []
+    batch = stream.poll()
+    assert (batch.start, batch.stop) == (0, 4)
+    trace = server.end_trace(tid)
+    assert [s.name for s in trace.spans] == ["first", "r0", "r1", "r2"]
