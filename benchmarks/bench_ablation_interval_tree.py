@@ -4,21 +4,38 @@ Three rungs, two granularities:
 
 * raw containment queries — optimized interval tree vs a naive O(n^2)
   scan (the original ablation), and
-* full ``reconstruct_parents`` on a 50k-span synthetic trace — the
-  sweep-line engine (hot path) vs the interval-tree reference engine,
-  with byte-identical parent-assignment verification and an asserted
-  >= 5x end-to-end speedup.
+* full parent reconstruction on a 50k-span synthetic trace —
+  ``reconstruct_parents`` (the sweep-line hot path) vs per-orphan
+  interval-tree queries, with byte-identical parent-assignment
+  verification and an asserted >= 5x end-to-end speedup.
+
+The interval tree is the test suite's oracle (``tests/tracing/
+tree_oracle.py``), loaded here by path.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from repro.tracing import Interval, IntervalTree, Level, Span, SpanKind, Trace
+from repro.tracing import Level, Span, SpanKind, Trace
 from repro.tracing.correlation import reconstruct_parents
+
+_SPEC = importlib.util.spec_from_file_location(
+    "tree_oracle",
+    Path(__file__).resolve().parents[1] / "tests" / "tracing" / "tree_oracle.py",
+)
+tree_oracle = importlib.util.module_from_spec(_SPEC)
+sys.modules[_SPEC.name] = tree_oracle  # dataclasses resolve their module
+_SPEC.loader.exec_module(tree_oracle)
+Interval = tree_oracle.Interval
+IntervalTree = tree_oracle.IntervalTree
+reconstruct_tree = tree_oracle.reconstruct_tree
 
 
 def make_intervals(n: int, seed: int = 7) -> list[Interval]:
@@ -94,7 +111,7 @@ def test_naive_scan_assignment(benchmark, workload):
         [(e.start, e.end) for e in expected]
 
 
-# -- full reconstruct_parents: sweep-line vs interval-tree reference --------
+# -- full reconstruction: sweep-line vs the interval-tree oracle ------------
 
 #: Acceptance target for the end-to-end reconstruction speedup.
 N_SPANS = 50_000
@@ -151,16 +168,16 @@ def _fresh_trace_setup():
 def test_sweepline_reconstruction_50k(benchmark):
     """The hot path: one sweep, per-level active-parent stacks."""
     result = benchmark.pedantic(
-        lambda tr: reconstruct_parents(tr, strict=False, engine="sweep"),
+        lambda tr: reconstruct_parents(tr, strict=False),
         setup=_fresh_trace_setup, rounds=3, iterations=1,
     )
     assert len(result.assigned) > N_SPANS * 0.9
 
 
 def test_tree_reconstruction_50k(benchmark):
-    """The reference path: per-orphan interval-tree containment queries."""
+    """The oracle: per-orphan interval-tree containment queries."""
     result = benchmark.pedantic(
-        lambda tr: reconstruct_parents(tr, strict=False, engine="tree"),
+        lambda tr: reconstruct_tree(tr, strict=False),
         setup=_fresh_trace_setup, rounds=1, iterations=1,
     )
     assert len(result.assigned) > N_SPANS * 0.9
@@ -171,16 +188,14 @@ def test_sweep_vs_tree_identical_and_faster():
     sweep at least ``MIN_SPEEDUP``x faster end-to-end on 50k spans."""
     tree_trace = make_synthetic_trace()
     start = time.perf_counter()
-    tree_result = reconstruct_parents(tree_trace, strict=False, engine="tree")
+    tree_result = reconstruct_tree(tree_trace, strict=False)
     tree_s = time.perf_counter() - start
 
     sweep_s = float("inf")
     for _ in range(3):  # best-of-3 guards against scheduler noise
         sweep_trace = make_synthetic_trace()
         start = time.perf_counter()
-        sweep_result = reconstruct_parents(
-            sweep_trace, strict=False, engine="sweep"
-        )
+        sweep_result = reconstruct_parents(sweep_trace, strict=False)
         sweep_s = min(sweep_s, time.perf_counter() - start)
 
     assert _parent_map(tree_trace) == _parent_map(sweep_trace)
@@ -190,5 +205,5 @@ def test_sweep_vs_tree_identical_and_faster():
     speedup = tree_s / sweep_s
     assert speedup >= MIN_SPEEDUP, (
         f"sweep-line only {speedup:.1f}x faster than the interval-tree "
-        f"reference ({sweep_s * 1e3:.0f} ms vs {tree_s * 1e3:.0f} ms)"
+        f"oracle ({sweep_s * 1e3:.0f} ms vs {tree_s * 1e3:.0f} ms)"
     )

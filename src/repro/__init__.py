@@ -15,7 +15,7 @@ Quickstart::
 Package map (see DESIGN.md for the full inventory):
 
 * :mod:`repro.tracing`    — distributed-tracing substrate (spans, server,
-  interval tree, parent reconstruction)
+  sweep-line parent reconstruction)
 * :mod:`repro.sim`        — simulated GPU/CUDA/CUPTI/cuDNN/Eigen substrate
 * :mod:`repro.frameworks` — TensorFlow-like and MXNet-like framework sims
 * :mod:`repro.models`     — the 65-model zoo of Tables VIII and X

@@ -383,7 +383,9 @@ def _mix_shift_finding(
     cand_shares = cand_view.shares
     if not base_shares and not cand_shares:
         return None
-    names = set(base_shares) | set(cand_shares)
+    # Sorted: the float sum and the order of tied movers must not depend
+    # on set iteration order (PYTHONHASHSEED).
+    names = sorted(set(base_shares) | set(cand_shares))
     distance = 0.5 * sum(
         abs(base_shares.get(n, 0.0) - cand_shares.get(n, 0.0)) for n in names
     )

@@ -17,7 +17,8 @@ trace-row fields straight from the native profile and the CUPTI records
 and ingest each dump in one batch - no ``Span`` objects are built.  Rows
 are generated as the trace consumes them, so a dump never exists twice
 in memory.  Launch spans are ingested without parents; parent
-reconstruction happens offline via the interval tree
+reconstruction happens offline: a sweep computes the paper's
+interval-containment sets
 (:func:`repro.tracing.correlation.reconstruct_parents`).
 """
 

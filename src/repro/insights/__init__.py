@@ -36,7 +36,6 @@ from repro.insights.registry import (
     unregister,
 )
 from repro.insights.engine import (
-    IncrementalInsightEngine,
     InsightContext,
     InsightEngine,
     InsightReport,
@@ -54,7 +53,6 @@ __all__ = [
     "BUILTIN_RULES",
     "CampaignInsights",
     "Evidence",
-    "IncrementalInsightEngine",
     "Insight",
     "InsightContext",
     "InsightEngine",

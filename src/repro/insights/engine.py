@@ -138,11 +138,36 @@ class InsightReport:
         return "\n".join(lines)
 
 
+#: Distinguishes "ingredient never seen" from a legitimately-None
+#: fingerprint (e.g. no trace attached) on the first analyze() call.
+_UNSEEN = object()
+
+
 class InsightEngine:
-    """Runs a rule set (default: the full registry) over contexts."""
+    """Runs a rule set (default: the full registry) over contexts.
+
+    The engine caches each rule's findings and re-evaluates a rule only
+    when one of its declared ``requires`` ingredients changed since the
+    previous :meth:`analyze` call: the trace's row watermark advanced,
+    the profile changed (or the device-memory high-water mark moved), or
+    the sweep points changed.  An unchanged ingredient set reuses the
+    cached findings verbatim, so re-analyzing a quiet live capture runs
+    zero rules, and a capture that only grew its trace re-runs only the
+    trace rules.  The cache is keyed on the :class:`~registry.Rule`
+    object, so a rule re-registered under the same name runs again.  A
+    fresh engine has an empty cache: its first report is the cold run,
+    and every later report equals what a fresh engine would produce on
+    the same context.
+    """
 
     def __init__(self, rules: Iterable[registry.Rule] | None = None) -> None:
         self._explicit = list(rules) if rules is not None else None
+        self._fingerprints: dict[str, Any] = {}
+        self._cache: dict[registry.Rule, list[Insight]] = {}
+        #: rule name -> number of times its function actually ran.
+        self.evaluations: dict[str, int] = {}
+        #: rules re-evaluated by the most recent analyze() call.
+        self.last_refreshed: list[str] = []
 
     @property
     def rules(self) -> list[registry.Rule]:
@@ -153,53 +178,6 @@ class InsightEngine:
             if self._explicit is not None
             else registry.all_rules()
         )
-
-    def analyze(self, context: InsightContext) -> InsightReport:
-        profile = context.profile
-        report = InsightReport(
-            model_name=profile.model_name,
-            system=profile.system,
-            framework=profile.framework,
-            batch=profile.batch,
-        )
-        for rule_obj in self.rules:
-            missing = [r for r in rule_obj.requires if not context.has(r)]
-            if missing:
-                report.skipped_rules[rule_obj.name] = "+".join(missing)
-                continue
-            report.insights.extend(rule_obj(context))
-        # Severity-ranked, stable within equal severities (rule order).
-        report.insights.sort(key=lambda i: -i.severity)
-        return report
-
-
-#: Distinguishes "ingredient never seen" from a legitimately-None
-#: fingerprint (e.g. no trace attached) on the first analyze() call.
-_UNSEEN = object()
-
-
-class IncrementalInsightEngine(InsightEngine):
-    """Watermark-aware engine for live / streaming analysis.
-
-    Caches each rule's findings and re-evaluates a rule only when one of
-    its declared ``requires`` ingredients actually changed since the
-    previous :meth:`analyze` call: the trace's row watermark advanced,
-    the profile object was replaced (or the device-memory high-water mark
-    moved), or the sweep points changed.  An unchanged ingredient set
-    reuses the cached findings verbatim, so re-analyzing a quiet capture
-    runs zero rules, and a capture that only grew its trace re-runs only
-    the trace rules.  Reports are identical to what a fresh
-    :class:`InsightEngine` would produce on the same context.
-    """
-
-    def __init__(self, rules: Iterable[registry.Rule] | None = None) -> None:
-        super().__init__(rules)
-        self._fingerprints: dict[str, Any] = {}
-        self._cache: dict[str, list[Insight]] = {}
-        #: rule name -> number of times its function actually ran.
-        self.evaluations: dict[str, int] = {}
-        #: rules re-evaluated by the most recent analyze() call.
-        self.last_refreshed: list[str] = []
 
     @staticmethod
     def _fingerprint(context: InsightContext, requirement: str) -> Any:
@@ -239,23 +217,27 @@ class IncrementalInsightEngine(InsightEngine):
             framework=profile.framework,
             batch=profile.batch,
         )
+        # Rebuilt every call: findings of skipped or no-longer-listed
+        # rules are dropped, not kept alive.
+        cache: dict[registry.Rule, list[Insight]] = {}
         self.last_refreshed = []
         for rule_obj in self.rules:
             missing = [r for r in rule_obj.requires if not context.has(r)]
             if missing:
                 report.skipped_rules[rule_obj.name] = "+".join(missing)
-                self._cache.pop(rule_obj.name, None)
                 continue
-            cached = self._cache.get(rule_obj.name)
-            if cached is None or changed.intersection(rule_obj.requires):
-                cached = list(rule_obj(context))
-                self._cache[rule_obj.name] = cached
+            findings = self._cache.get(rule_obj)
+            if findings is None or changed.intersection(rule_obj.requires):
+                findings = list(rule_obj(context))
                 self.evaluations[rule_obj.name] = (
                     self.evaluations.get(rule_obj.name, 0) + 1
                 )
                 self.last_refreshed.append(rule_obj.name)
-            report.insights.extend(cached)
+            cache[rule_obj] = findings
+            report.insights.extend(findings)
+        # Severity-ranked, stable within equal severities (rule order).
         report.insights.sort(key=lambda i: -i.severity)
+        self._cache = cache
         self._fingerprints = fingerprints
         return report
 

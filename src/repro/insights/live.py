@@ -5,9 +5,9 @@ SysOM-AI-style during-the-run diagnosis for this stack: a
 cursor to an open trace, consumes row batches as tracers publish them,
 derives a single-run profile view of the partial capture
 (:func:`~repro.analysis.diff.sources.profile_from_trace`), and re-runs the
-:class:`~repro.insights.engine.IncrementalInsightEngine` — so only rules
-whose ingredients changed since the last watermark are re-evaluated, and
-a quiet capture costs nothing.
+:class:`~repro.insights.engine.InsightEngine`, whose findings cache
+re-evaluates only rules whose ingredients changed since the last
+watermark, so a quiet capture costs nothing.
 
 The monitor is the sanctioned cross-thread consumer of an open trace:
 the stream cursor reads completed rows below the watermark, and the
@@ -25,11 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from repro.insights.engine import (
-    IncrementalInsightEngine,
-    InsightContext,
-    InsightReport,
-)
+from repro.insights.engine import InsightContext, InsightEngine, InsightReport
 from repro.tracing.correlation import (
     LaunchExecutionState,
     correlate_launch_execution,
@@ -51,7 +47,7 @@ class LiveUpdate:
     #: Rows consumed since the previous update.
     new_rows: int
     report: InsightReport
-    #: Rules the incremental engine actually re-evaluated this refresh.
+    #: Rules the engine actually re-evaluated this refresh.
     refreshed_rules: list[str] = field(default_factory=list)
     #: True for the update that observed end-of-capture.
     final: bool = False
@@ -76,7 +72,7 @@ class LiveMonitor:
         correlate: bool = False,
     ) -> None:
         self._stream = server.stream(trace_id)
-        self._engine = IncrementalInsightEngine(rules)
+        self._engine = InsightEngine(rules)
         self._correlate = correlate
         self._corr_state = LaunchExecutionState()
         self._corr_rows = 0
@@ -88,7 +84,7 @@ class LiveMonitor:
         return self._stream.trace
 
     @property
-    def engine(self) -> IncrementalInsightEngine:
+    def engine(self) -> InsightEngine:
         return self._engine
 
     @property

@@ -115,7 +115,7 @@ def all_rules() -> list[Rule]:
 def rules_requiring(*ingredients: str) -> list[Rule]:
     """Registered rules declaring any of ``ingredients``, in name order.
 
-    A registry query mirroring the incremental engine's selection rule
+    A registry query mirroring the engine's re-evaluation rule
     (which intersects each rule's ``requires`` with the changed
     ingredients over *its own* rule list): when a context ingredient
     changes — e.g. the trace watermark advanced — these are exactly the

@@ -4,9 +4,10 @@ Two reconstruction problems are solved here, following paper Sec. III-A/B:
 
 1. **Parent-child reconstruction.**  Disjoint profilers cannot annotate
    children with their parents (e.g. GPU kernel spans with layer spans).
-   XSP builds an interval tree over candidate parent spans and assigns each
-   orphan span the *tightest* span at the next-higher stack level whose
-   interval contains it.  If several mutually-overlapping candidates
+   XSP assigns each orphan span the *tightest* span at the next-higher
+   stack level whose interval contains it (the paper's interval-tree
+   containment sets, computed here by one sweep over start-sorted
+   spans).  If several mutually-overlapping candidates
    contain a span (parallel events), its parentage is *ambiguous* and a
    serialized re-run (``CUDA_LAUNCH_BLOCKING=1``) is required.
 
@@ -17,7 +18,7 @@ Two reconstruction problems are solved here, following paper Sec. III-A/B:
    complete after the layer returns) and its performance information from
    the execution span.
 
-Both engines consume the trace's columnar storage directly — row indices
+Both passes consume the trace's columnar storage directly — row indices
 over ``(start_ns, end_ns, level, kind, parent_id)`` columns snapshotted
 as plain lists — and write assignments back into the ``parent_id``
 column.  Span objects are materialized only at the error/reporting
@@ -30,8 +31,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Any, List
 
-from repro.tracing.interval_tree import Interval, IntervalTree
-from repro.tracing.span import Level, Span, SpanKind
+from repro.tracing.span import Level, SpanKind
 from repro.tracing.table import _KIND_CODE, NONE_ID, SpanTable, SpanView
 from repro.tracing.trace import Trace
 
@@ -217,7 +217,6 @@ def reconstruct_parents(
     trace: Trace,
     *,
     strict: bool = True,
-    engine: str = "sweep",
     since_row: int = 0,
 ) -> CorrelationResult:
     """Assign parents to orphan spans via interval containment.
@@ -233,18 +232,13 @@ def reconstruct_parents(
     ambiguity; ``strict=False`` records ambiguous spans in the result so a
     caller can trigger the serialized re-run.
 
-    ``engine`` selects the containment strategy:
-
-    * ``"sweep"`` (default) — one O(n log n) sweep over start-sorted spans
-      with a per-level active-parent stack; the hot path.
-    * ``"tree"`` — the original per-orphan interval-tree queries; kept as
-      the reference implementation the ablation benchmark checks the
-      sweep against.
-
-    Both engines see identical candidate sets for every orphan (candidates
-    depend only on static interval data, not on assignment order), so
-    their parent assignments — including which span first trips
-    :class:`AmbiguousParentError` in strict mode — are identical.
+    The containment sets are the paper's interval-tree queries, computed
+    by one O(n log n) sweep over start-sorted spans with a per-level
+    active-parent stack.  Candidates depend only on static interval
+    data, not on assignment order, so the assignments — including which
+    span first trips :class:`AmbiguousParentError` in strict mode —
+    equal per-orphan interval-tree queries (the test suite fuzzes the
+    sweep against such an oracle).
 
     ``since_row`` is the incremental watermark for a growing capture:
     rows below it are treated as already correlated (their assignments —
@@ -258,82 +252,16 @@ def reconstruct_parents(
     orderings come from the trace's incrementally-maintained index, so an
     increment never pays a re-sort.
     """
-    if engine not in ("sweep", "tree"):
-        raise ValueError(f"unknown correlation engine {engine!r}")
     result = CorrelationResult(trace=trace)
     try:
-        if engine == "tree":
-            _reconstruct_tree(
-                trace, strict=strict, result=result, since_row=since_row
-            )
-        else:
-            _reconstruct_sweep(
-                trace, strict=strict, result=result, since_row=since_row
-            )
+        _reconstruct_sweep(
+            trace, strict=strict, result=result, since_row=since_row
+        )
     finally:
         # parent_id fields changed (possibly partially, when strict mode
         # raised); drop the trace's parent-derived indexes either way.
         trace.touch_parents()
     return result
-
-
-def _reconstruct_tree(
-    trace: Trace,
-    *,
-    strict: bool,
-    result: CorrelationResult,
-    since_row: int = 0,
-) -> None:
-    """Reference engine: per-orphan containment queries on interval trees."""
-    index = trace.index
-    table = trace.table
-    levels = index.levels_present()
-    parent_of_level = _parent_level_map(levels)
-    starts = table.start_ns
-    ends = table.end_ns
-    kinds = table.kind
-    parents = table.parent_id
-    level_codes = table.level
-    span_ids = table.span_id
-
-    trees: dict[Level, IntervalTree[int]] = {}
-    for lvl in levels:
-        trees[lvl] = IntervalTree(
-            Interval(starts[row], ends[row], row)
-            for row in index.level_rows().get(lvl, ())
-        )
-    parent_code_of: dict[int, int | None] = {
-        int(lvl): (None if up is None else int(up))
-        for lvl, up in parent_of_level.items()
-    }
-    level_by_code = {int(lvl): lvl for lvl in levels}
-
-    for row in index.rows_sorted():
-        if row < since_row:
-            continue  # settled in an earlier increment
-        if parents[row] != NONE_ID:
-            continue
-        if kinds[row] == _EXECUTION_CODE:
-            continue  # handled by launch/execution correlation
-        target_code = parent_code_of.get(level_codes[row])
-        if target_code is None:
-            continue  # top-of-stack spans legitimately have no parent
-        candidates = [
-            iv.data
-            for iv in trees[level_by_code[target_code]].containing(
-                Interval(starts[row], ends[row])
-            )
-            if iv.data != row
-        ]
-        if not candidates:
-            continue
-        chosen = _choose_parent(
-            table, row, candidates, strict=strict, result=result
-        )
-        if chosen is not None:
-            chosen_id = span_ids[chosen]
-            parents[row] = chosen_id
-            result.assigned[span_ids[row]] = chosen_id
 
 
 def _reconstruct_sweep(
@@ -343,7 +271,7 @@ def _reconstruct_sweep(
     result: CorrelationResult,
     since_row: int = 0,
 ) -> None:
-    """Hot-path engine: one sweep over start-sorted rows.
+    """One sweep over start-sorted rows.
 
     For each present level the sweep keeps an *active-parent stack*: the
     rows at that level whose interval is still open at the sweep
@@ -352,7 +280,7 @@ def _reconstruct_sweep(
     orphan has been admitted to that level's stack, expired entries
     (ending before the orphan starts) have been popped, and the orphan's
     candidate parents are exactly the stack entries whose end reaches the
-    orphan's end — the same containment set the interval tree computes,
+    orphan's end — the containment set an interval tree would return,
     without per-orphan tree queries or list churn.
 
     The stack is a deque expired from both ends: sequential same-level

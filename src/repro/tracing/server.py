@@ -202,35 +202,17 @@ class TracingServer:
 
     # -- publication ----------------------------------------------------------
     def publish(self, span: Span) -> None:
-        """Publish one span into the active trace (or its own ``trace_id``).
-
-        Spans addressed to an already-ended trace are dropped: the caller
-        owns that timeline now, and re-creating it here would leak an
-        orphan trace no one can retrieve.
-        """
-        with self._lock:
-            tid = span.trace_id or self._active_trace_id
-            if (
-                tid is not None
-                and tid <= self._ended_watermark
-                and tid not in self._traces
-            ):
-                return  # addressed to an ended trace
-            trace = self._destination(tid)
-            trace.add(span)
-            self._cond.notify_all()
-            subscribers = list(self._subscribers)
-        for fn in subscribers:
-            fn(span)
+        """Publish one span into the active trace (or its own ``trace_id``)."""
+        self.publish_many((span,))
 
     def publish_many(self, spans: Iterable[Span]) -> None:
-        """Publish a batch of spans under one lock acquisition.
+        """Publish spans into their traces under one lock acquisition.
 
-        The batch path exists for offline-converted profiler output
-        (hundreds of thousands of spans at once): each span is appended
-        straight into its trace's columnar table — no intermediate span
-        list is built or retained, and the lock is taken once per batch
-        instead of once per span.
+        Each span goes to its own ``trace_id`` or, without one, to the
+        active trace, and is appended straight into that trace's
+        columnar table.  Spans addressed to an already-ended trace are
+        dropped: the caller owns that timeline now, and re-creating it
+        here would leak an orphan trace no one can retrieve.
         """
         subscribers: list[Callable[[Span], None]] = []
         published: list[Span] = []
@@ -248,7 +230,7 @@ class TracingServer:
                 if self._subscribers:
                     published.append(span)
             self._cond.notify_all()
-            if self._subscribers and published:
+            if published:
                 subscribers = list(self._subscribers)
         for fn in subscribers:
             for span in published:

@@ -2,6 +2,10 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from diff_factories import (
@@ -254,3 +258,43 @@ def test_zero_latency_baseline_is_an_infinite_regression():
     assert diff.regression_fraction == float("inf")
     assert diff.speedup == 0.0
     assert "slower" in diff.render()
+
+
+_HASHSEED_SCRIPT = """
+import json
+from diff_factories import make_kernel, make_layer, make_profile
+from repro.analysis.diff import diff_profiles
+
+def side(shift):
+    layers = []
+    for i in range(12):
+        ms = 0.1 + 0.37 * ((i * 7) % 11)  # layers 0 and 11 tie
+        ms += shift if i % 11 == 0 else (0.3 * shift if i % 3 == 1 else 0.0)
+        layers.append(make_layer(i, kernels=[
+            make_kernel(f"kernel_{i:02d}", i, latency_ms=ms)]))
+    return make_profile(layers)
+
+print(json.dumps(diff_profiles(side(0.0), side(0.9)).to_dict(),
+                 sort_keys=True))
+"""
+
+
+def test_diff_output_is_independent_of_hash_seed():
+    """Twelve kernel names, two of them equal and equally shifted (tied
+    movers): the mix distance (a float sum) and the movers' order must
+    not follow set iteration order, which PYTHONHASHSEED changes between
+    processes.  Without sorting, seeds 0 and 1 disagree in the distance's
+    last digit and seeds 0 and 2 in the order of the tied movers."""
+    root = Path(__file__).resolve().parents[2]
+    outputs = []
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            [str(root / "src"), str(Path(__file__).parent)]
+        ))
+        outputs.append(subprocess.run(
+            [sys.executable, "-c", _HASHSEED_SCRIPT], env=env, check=True,
+            capture_output=True, text=True,
+        ).stdout)
+    assert outputs[0]
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]

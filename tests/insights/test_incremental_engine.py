@@ -1,11 +1,11 @@
-"""IncrementalInsightEngine: re-evaluate only rules whose ingredients changed."""
+"""InsightEngine's findings cache: re-evaluate only rules whose ingredients
+changed, and report exactly what a fresh engine would."""
 
 from __future__ import annotations
 
 from factories import build_basic_profile, make_matching_trace
 
 from repro.insights import (
-    IncrementalInsightEngine,
     Insight,
     InsightContext,
     InsightEngine,
@@ -47,7 +47,7 @@ def _probe_engine():
         _probe_rule("t-rule", ("profile", "trace"), counter),
         _probe_rule("s-rule", ("profile", "sweep"), counter),
     ]
-    return IncrementalInsightEngine(rules), counter
+    return InsightEngine(rules), counter
 
 
 def test_first_analyze_runs_everything_then_nothing():
@@ -124,7 +124,7 @@ def test_matches_plain_engine_on_builtin_rules():
     full_trace = make_matching_trace(profile, gap_us=50.0)
     spans = [s for s in full_trace.spans]
 
-    incremental = IncrementalInsightEngine()
+    incremental = InsightEngine()
     from repro.tracing import Trace
 
     growing = Trace(trace_id=1)
@@ -145,6 +145,68 @@ def test_matches_plain_engine_on_builtin_rules():
             (i.rule, i.title, i.severity) for i in live
         ] == [(i.rule, i.title, i.severity) for i in reference]
         assert live.skipped_rules == reference.skipped_rules
+
+
+def _summary(report):
+    return (
+        [(i.rule, i.title, i.severity) for i in report],
+        dict(report.skipped_rules),
+    )
+
+
+def test_alternating_contexts_match_fresh_engines():
+    """One engine fed A, B, A (different profiles and sweeps, the way
+    ``aggregate_insights`` reuses its engine across grid points) reports
+    what a fresh engine reports for each context."""
+    profile_a = build_basic_profile()
+    profile_b = build_basic_profile()
+    profile_b.batch = 32
+    profile_b.model_latency_ms *= 3
+    for layer in profile_b.layers[::2]:
+        layer.latency_ms *= 4
+    context_a = _context(profile_a, sweep={1: 5.0, 2: 8.0, 4: 30.0})
+    context_b = _context(profile_b, sweep={8: 9.0, 32: 20.0})
+    engine = InsightEngine()
+    outcomes = [
+        _summary(engine.analyze(ctx))
+        for ctx in (context_a, context_b, context_a)
+    ]
+    fresh_a = _summary(InsightEngine().analyze(context_a))
+    fresh_b = _summary(InsightEngine().analyze(context_b))
+    assert fresh_a != fresh_b  # the contexts really differ
+    assert outcomes == [fresh_a, fresh_b, fresh_a]
+
+
+def test_reregistered_rule_is_reevaluated_on_unchanged_context():
+    """The cache is keyed on the rule object, not its name: replacing a
+    registered rule under the same name runs the new function even
+    though no ingredient changed."""
+    counter: dict[str, int] = {}
+    original = _probe_rule("zz-probe", ("profile",), counter)
+    registry.register(original)
+    try:
+        engine = InsightEngine()
+        context = _context()
+        first = engine.analyze(context)
+        assert [i.title for i in first.by_rule("zz-probe")] == ["zz-probe"]
+        registry.unregister("zz-probe")
+
+        def replacement(ctx):
+            return [
+                Insight(rule="zz-probe", title="replaced", severity=0.9,
+                        recommendation="n/a")
+            ]
+
+        registry.register(
+            Rule(name="zz-probe", description="zz-probe",
+                 requires=("profile",), func=replacement)
+        )
+        second = engine.analyze(context)
+        assert [i.title for i in second.by_rule("zz-probe")] == ["replaced"]
+        assert engine.last_refreshed == ["zz-probe"]
+        assert counter == {"zz-probe": 1}
+    finally:
+        registry.unregister("zz-probe")
 
 
 def test_rules_requiring_selects_by_ingredient():

@@ -1,10 +1,12 @@
-"""Sweep-line correlator == interval-tree reference, on adversarial forests.
+"""Sweep-line correlator == interval-tree oracle, on adversarial forests.
 
-The sweep-line engine replaces the per-orphan interval-tree queries in
-``reconstruct_parents``; these tests pin its exact equivalence — parent
-assignments, ambiguity detection, and strict-mode raises — on randomly
-generated span forests that deliberately mix nesting, partial overlap,
-identical intervals, touching endpoints, and skipped levels.
+``reconstruct_parents`` computes the paper's interval-containment sets
+with one sweep; these tests pin its exact equivalence with per-orphan
+interval-tree queries (``tree_oracle.reconstruct_tree``) — parent
+assignments, ambiguity detection, strict-mode raises, and the
+``since_row`` watermark — on randomly generated span forests that
+deliberately mix nesting, partial overlap, identical intervals, touching
+endpoints, and skipped levels.
 """
 
 import random
@@ -21,6 +23,11 @@ from repro.tracing import (
     Trace,
     reconstruct_parents,
 )
+
+from tree_oracle import reconstruct_tree
+
+#: The two implementations under comparison.
+ENGINES = {"sweep": reconstruct_parents, "tree": reconstruct_tree}
 
 LEVELS = [Level.MODEL, Level.LAYER, Level.LIBRARY, Level.GPU_KERNEL]
 
@@ -61,10 +68,10 @@ def _parents(trace: Trace) -> dict[int, int | None]:
     return {s.span_id: s.parent_id for s in trace.spans}
 
 
-def _run(trace: Trace, *, strict: bool, engine: str):
+def _run(trace: Trace, *, strict: bool, engine: str, since_row: int = 0):
     """(parents, assigned, ambiguous-ids, raised-span-id or None)."""
     try:
-        result = reconstruct_parents(trace, strict=strict, engine=engine)
+        result = ENGINES[engine](trace, strict=strict, since_row=since_row)
     except AmbiguousParentError as err:
         return (
             _parents(trace),
@@ -118,13 +125,53 @@ def test_sweep_matches_tree_hypothesis(intervals):
         _run(t_sweep, strict=False, engine="sweep")
 
 
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("seed", range(10))
+def test_sweep_matches_tree_since_row(seed, strict):
+    """A random watermark on a finished forest: rows below it are settled,
+    rows at/above it are this increment's orphans."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 200)
+    since_row = rng.randint(0, n)
+    forest_tree = _random_forest(random.Random(seed * 7919 + 3), n)
+    forest_sweep = _random_forest(random.Random(seed * 7919 + 3), n)
+    assert _run(forest_tree, strict=strict, engine="tree",
+                since_row=since_row) == \
+        _run(forest_sweep, strict=strict, engine="sweep", since_row=since_row)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_sweep_matches_tree_over_increments(seed):
+    """Correlate a growing forest after every increment, each call
+    starting at the previous watermark, as the live monitor does."""
+    rng = random.Random(seed)
+    n = rng.randint(10, 200)
+    source = _random_forest(random.Random(seed * 104729 + 5), n)
+    cuts = sorted(rng.sample(range(1, n), k=min(4, n - 1))) + [n]
+    outcomes = {}
+    for engine in ENGINES:
+        live = Trace(trace_id=1)
+        seen = 0
+        steps = []
+        for cut in cuts:
+            for view in source.spans[seen:cut]:
+                live.add(Span(view.name, view.start_ns, view.end_ns,
+                              view.level, span_id=view.span_id,
+                              kind=view.kind))
+            steps.append(_run(live, strict=False, engine=engine,
+                              since_row=seen))
+            seen = cut
+        outcomes[engine] = steps
+    assert outcomes["tree"] == outcomes["sweep"]
+
+
 def test_sweep_detects_identical_interval_ambiguity():
     t = Trace(trace_id=1)
     t.add(Span("layerA", 0, 500, Level.LAYER, span_id=1))
     t.add(Span("layerB", 0, 500, Level.LAYER, span_id=2))
     t.add(Span("launch", 100, 110, Level.GPU_KERNEL, span_id=3,
                kind=SpanKind.LAUNCH, correlation_id=1))
-    result = reconstruct_parents(t, strict=False, engine="sweep")
+    result = reconstruct_parents(t, strict=False)
     assert result.needs_serialized_rerun
     assert t.by_id()[3].parent_id is None
 
@@ -136,7 +183,7 @@ def test_sweep_strict_raises_on_partial_overlap():
     t.add(Span("launch", 200, 210, Level.GPU_KERNEL, span_id=3,
                kind=SpanKind.LAUNCH, correlation_id=1))
     with pytest.raises(AmbiguousParentError, match="CUDA_LAUNCH_BLOCKING"):
-        reconstruct_parents(t, strict=True, engine="sweep")
+        reconstruct_parents(t, strict=True)
 
 
 def test_sweep_picks_tightest_nested_parent():
@@ -145,7 +192,7 @@ def test_sweep_picks_tightest_nested_parent():
     t.add(Span("inner", 100, 900, Level.LAYER, span_id=2, parent_id=1))
     t.add(Span("launch", 200, 210, Level.GPU_KERNEL, span_id=3,
                kind=SpanKind.LAUNCH, correlation_id=1))
-    reconstruct_parents(t, engine="sweep")
+    reconstruct_parents(t)
     assert t.by_id()[3].parent_id == 2
 
 
@@ -168,12 +215,7 @@ def test_sweep_handles_sequential_layers_without_stack_growth():
         expected[launch_id] = sid
         cursor += 150
         sid += 2
-    reconstruct_parents(t, engine="sweep")
+    reconstruct_parents(t)
     by_id = t.by_id()
     for launch_id, layer_id in expected.items():
         assert by_id[launch_id].parent_id == layer_id
-
-
-def test_unknown_engine_rejected():
-    with pytest.raises(ValueError, match="unknown correlation engine"):
-        reconstruct_parents(Trace(trace_id=1), engine="quadtree")

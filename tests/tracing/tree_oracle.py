@@ -1,37 +1,47 @@
-"""Centered interval tree used for parent-child reconstruction.
+"""Interval-tree reference oracle for parent reconstruction.
 
 The paper (Sec. III-A) reconstructs missing parent-child relationships by
 building an interval tree over span start/end timestamps and checking
-interval set inclusion.  This module provides a classic centered interval
-tree supporting stabbing queries (all intervals containing a point) and
-containment queries (all intervals containing a query interval), both in
-O(log n + k).
+interval set inclusion.  ``repro.tracing.correlation`` computes the same
+containment sets with one sweep over start-sorted rows; this module keeps
+the paper's formulation as the test-side oracle the sweep is fuzzed
+against (``test_sweepline.py``) and benchmarked against
+(``benchmarks/bench_ablation_interval_tree.py``, which loads this file
+by path).
 
-The implementation is self-contained (no third-party interval library).
-It remains the *reference* engine for parent reconstruction — the hot
-path uses the sweep-line correlator in :mod:`repro.tracing.correlation` —
-but it is tuned all the same: construction is iterative (no recursion
-depth limit on adversarial traces) and every node precomputes the
-endpoint arrays its queries bisect over, so queries allocate nothing
-beyond their result lists.
+:class:`IntervalTree` is a classic centered interval tree answering
+containment queries (all intervals containing a query interval) in
+O(log n + k).  Construction is iterative (no recursion depth limit on
+adversarial traces) and every node precomputes the endpoint arrays its
+queries bisect over, so the oracle is fast enough to time against the
+sweep on a 50k-span trace.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Any, Generic, Iterable, Iterator, List, Optional, TypeVar
+from typing import Any, Generic, Iterable, List, Optional, TypeVar
+
+from repro.tracing.correlation import (
+    _EXECUTION_CODE,
+    CorrelationResult,
+    _choose_parent,
+    _parent_level_map,
+)
+from repro.tracing.table import NONE_ID
+from repro.tracing.trace import Trace
 
 T = TypeVar("T")
 
 
 @dataclass(frozen=True)
 class Interval(Generic[T]):
-    """A half-open-agnostic interval ``[start, end]`` carrying a payload.
+    """An interval ``[start, end]`` carrying a payload.
 
-    Containment checks treat both endpoints as inclusive, matching the
-    paper's span-inclusion rule (a kernel launched at exactly the layer's
-    start timestamp belongs to that layer).
+    Containment treats both endpoints as inclusive, matching the paper's
+    span-inclusion rule (a kernel launched at exactly the layer's start
+    timestamp belongs to that layer).
     """
 
     start: int
@@ -46,14 +56,8 @@ class Interval(Generic[T]):
     def length(self) -> int:
         return self.end - self.start
 
-    def contains_point(self, point: int) -> bool:
-        return self.start <= point <= self.end
-
     def contains_interval(self, other: "Interval[Any]") -> bool:
         return self.start <= other.start and other.end <= self.end
-
-    def overlaps(self, other: "Interval[Any]") -> bool:
-        return self.start <= other.end and other.start <= self.end
 
 
 @dataclass
@@ -70,26 +74,11 @@ class _Node(Generic[T]):
 
 
 class IntervalTree(Generic[T]):
-    """Static centered interval tree.
-
-    Built once from an iterable of :class:`Interval`; supports:
-
-    * :meth:`stab` — all intervals containing a point,
-    * :meth:`containing` — all intervals containing a query interval,
-    * :meth:`overlapping` — all intervals overlapping a query interval.
-    """
+    """Static centered interval tree built once from :class:`Interval`\\ s."""
 
     def __init__(self, intervals: Iterable[Interval[T]] = ()) -> None:
-        self._intervals: list[Interval[T]] = list(intervals)
-        self._root = self._build(self._intervals)
+        self._root = self._build(list(intervals))
 
-    def __len__(self) -> int:
-        return len(self._intervals)
-
-    def __iter__(self) -> Iterator[Interval[T]]:
-        return iter(self._intervals)
-
-    # -- construction ----------------------------------------------------
     @staticmethod
     def _build(intervals: list[Interval[T]]) -> Optional[_Node[T]]:
         """Iterative centered-tree construction (explicit work stack)."""
@@ -124,28 +113,6 @@ class IntervalTree(Generic[T]):
                 work.append((rights, node.right))
         return root
 
-    # -- queries ----------------------------------------------------------
-    def stab(self, point: int) -> list[Interval[T]]:
-        """All intervals containing ``point`` (inclusive endpoints)."""
-        out: list[Interval[T]] = []
-        node = self._root
-        while node is not None:
-            if point < node.center:
-                # Crossing intervals sorted by start: those starting <= point
-                # necessarily contain the point (they all end >= center > point).
-                idx = bisect.bisect_right(node.starts, point)
-                out.extend(node.by_start[:idx])
-                node = node.left
-            elif point > node.center:
-                # Sorted by end descending: those ending >= point contain it.
-                idx = bisect.bisect_right(node.neg_ends, -point)
-                out.extend(node.by_end[:idx])
-                node = node.right
-            else:
-                out.extend(node.by_start)
-                node = None
-        return out
-
     def containing(self, query: Interval[Any]) -> list[Interval[T]]:
         """All intervals that fully contain ``query``."""
         qs, qe = query.start, query.end
@@ -172,39 +139,82 @@ class IntervalTree(Generic[T]):
                 node = None
         return out
 
-    def overlapping(self, query: Interval[Any]) -> list[Interval[T]]:
-        """All intervals overlapping ``query`` (inclusive endpoints)."""
-        out: list[Interval[T]] = []
-        root = self._root
-        if root is None:
-            return out
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if query.start <= node.center <= query.end:
-                out.extend(node.by_start)
-                if node.left is not None:
-                    stack.append(node.left)
-                if node.right is not None:
-                    stack.append(node.right)
-            elif query.end < node.center:
-                # Crossing intervals start <= center; they overlap iff
-                # start <= query.end.
-                idx = bisect.bisect_right(node.starts, query.end)
-                out.extend(node.by_start[:idx])
-                if node.left is not None:
-                    stack.append(node.left)
-            else:  # query.start > node.center
-                idx = bisect.bisect_right(node.neg_ends, -query.start)
-                out.extend(node.by_end[:idx])
-                if node.right is not None:
-                    stack.append(node.right)
-        return out
-
-    # -- helpers -----------------------------------------------------------
     def tightest_containing(self, query: Interval[Any]) -> Optional[Interval[T]]:
         """The smallest-length interval containing ``query``, or ``None``."""
         candidates = self.containing(query)
         if not candidates:
             return None
         return min(candidates, key=lambda iv: (iv.length, iv.start))
+
+
+def reconstruct_tree(
+    trace: Trace, *, strict: bool = True, since_row: int = 0
+) -> CorrelationResult:
+    """``reconstruct_parents`` computed by per-orphan interval-tree queries.
+
+    Same contract as :func:`repro.tracing.correlation.reconstruct_parents`
+    (strict-mode raises, ambiguity recording, the ``since_row``
+    watermark): the candidate parents of each orphan are the
+    next-present-level spans whose interval contains it, and the shared
+    ``_choose_parent`` picks among them.
+    """
+    result = CorrelationResult(trace=trace)
+    try:
+        _assign(trace, strict=strict, result=result, since_row=since_row)
+    finally:
+        trace.touch_parents()
+    return result
+
+
+def _assign(
+    trace: Trace, *, strict: bool, result: CorrelationResult, since_row: int
+) -> None:
+    index = trace.index
+    table = trace.table
+    levels = index.levels_present()
+    parent_of_level = _parent_level_map(levels)
+    starts = table.start_ns
+    ends = table.end_ns
+    kinds = table.kind
+    parents = table.parent_id
+    level_codes = table.level
+    span_ids = table.span_id
+
+    trees = {
+        int(lvl): IntervalTree(
+            Interval(starts[row], ends[row], row)
+            for row in index.level_rows().get(lvl, ())
+        )
+        for lvl in levels
+    }
+    parent_code_of = {
+        int(lvl): (None if up is None else int(up))
+        for lvl, up in parent_of_level.items()
+    }
+
+    for row in index.rows_sorted():
+        if row < since_row:
+            continue  # settled in an earlier increment
+        if parents[row] != NONE_ID:
+            continue
+        if kinds[row] == _EXECUTION_CODE:
+            continue  # handled by launch/execution correlation
+        target_code = parent_code_of.get(level_codes[row])
+        if target_code is None:
+            continue  # top-of-stack spans legitimately have no parent
+        candidates = [
+            iv.data
+            for iv in trees[target_code].containing(
+                Interval(starts[row], ends[row])
+            )
+            if iv.data != row
+        ]
+        if not candidates:
+            continue
+        chosen = _choose_parent(
+            table, row, candidates, strict=strict, result=result
+        )
+        if chosen is not None:
+            chosen_id = span_ids[chosen]
+            parents[row] = chosen_id
+            result.assigned[span_ids[row]] = chosen_id
