@@ -157,7 +157,7 @@ def make_synthetic_trace(n_spans: int = N_SPANS, seed: int = 3) -> Trace:
 
 
 def _parent_map(trace: Trace) -> dict[int, int | None]:
-    return {s.span_id: s.parent_id for s in trace.spans}
+    return {s.span_id: s.parent_id for s in trace}
 
 
 def _fresh_trace_setup():

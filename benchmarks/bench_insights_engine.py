@@ -85,7 +85,7 @@ def _context() -> InsightContext:
 def test_insight_engine_50k_trace(benchmark):
     """All rules over a 50k-span trace + 2k-layer profile."""
     context = _context()
-    assert len(context.trace.spans) >= N_SPANS * 0.9
+    assert len(context.trace) >= N_SPANS * 0.9
     report = benchmark(lambda: InsightEngine().analyze(context))
     assert len(report.rules_fired) >= 8
     assert not report.skipped_rules

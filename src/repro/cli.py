@@ -38,6 +38,18 @@ def _model_key(value: str) -> int | str:
     return int(value) if value.isdigit() else value
 
 
+class _UnknownModelError(Exception):
+    """A --model that names no zoo entry."""
+
+
+def _model_entry(key: int | str):
+    """The zoo entry for --model; an unknown key is a one-line error."""
+    try:
+        return get_model(key)
+    except KeyError as err:
+        raise _UnknownModelError(err.args[0]) from None
+
+
 def _add_target_args(
     parser: argparse.ArgumentParser, *, model_required: bool = True
 ) -> None:
@@ -188,7 +200,7 @@ def _open_store(cache_dir: str | None) -> ProfileStore | None:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    entry = get_model(args.model)
+    entry = _model_entry(args.model)
     session = XSPSession(args.system, args.framework)
     try:
         store = _open_store(args.cache_dir)
@@ -201,7 +213,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    entry = get_model(args.model)
+    entry = _model_entry(args.model)
     session = XSPSession(args.system, args.framework)
     batches = [int(b) for b in args.batches.split(",")]
     curve = throughput_curve(session, entry.graph, batches)
@@ -272,7 +284,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         print("error: trace needs --output, --chrome OUT, and/or --stats",
               file=sys.stderr)
         return 2
-    entry = get_model(args.model)
+    entry = _model_entry(args.model)
     session = XSPSession(args.system, args.framework)
     config = ProfilingConfig(levels=MLLibG) if args.library_level \
         else ProfilingConfig()
@@ -328,7 +340,7 @@ def _advise_from_trace(args: argparse.Namespace) -> int:
 
     try:
         trace = load_trace(args.from_trace)
-    except (OSError, ValueError, KeyError) as err:
+    except (OSError, ValueError) as err:
         print(f"error: --from-trace {args.from_trace!r}: {err}",
               file=sys.stderr)
         return 2
@@ -372,7 +384,7 @@ def cmd_advise(args: argparse.Namespace) -> int:
         print("error: advise needs --model (or --from-trace)",
               file=sys.stderr)
         return 2
-    entry = get_model(args.model)
+    entry = _model_entry(args.model)
     session = XSPSession(args.system, args.framework)
     try:
         store = _open_store(args.cache_dir)
@@ -485,7 +497,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except UnsupportedOpError as err:
+    except (UnsupportedOpError, _UnknownModelError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

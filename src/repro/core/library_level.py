@@ -21,7 +21,7 @@ from repro.sim.cuda import KernelLaunchRecord
 from repro.sim.kernels import KernelClass
 from repro.tracing.span import Level, new_span_id
 from repro.tracing.table import SpanView
-from repro.tracing.tracer import RowIngest, RowTracer
+from repro.tracing.tracer import RowIngest, Tracer
 
 #: Library tag (KernelSpec.tags["library"]) + kernel class -> API name.
 _API_NAMES: dict[tuple[str, KernelClass], str] = {
@@ -51,7 +51,7 @@ def api_name_for(record: KernelLaunchRecord) -> str:
     return "launchGenericOp"
 
 
-class LibraryTracer(RowTracer):
+class LibraryTracer(Tracer):
     """Tracer synthesizing library-API rows from kernel launch records."""
 
     def __init__(self, ingest: RowIngest | None = None) -> None:

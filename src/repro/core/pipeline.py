@@ -10,6 +10,7 @@ measurements with a trimmed mean (paper Sec. III-D).  Its output is a
 
 from __future__ import annotations
 
+import logging
 import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
@@ -22,6 +23,8 @@ from repro.core.stats import Statistic, trimmed_mean
 from repro.frameworks.graph import Graph
 from repro.sim.hardware import GPUSpec, get_system
 from repro.tracing.span import seed_span_ids
+
+_log = logging.getLogger(__name__)
 
 if TYPE_CHECKING:  # pragma: no cover - cache imports pipeline, not vice versa
     from repro.core.cache import ProfileStore
@@ -315,7 +318,12 @@ class AnalysisPipeline:
         )
         try:
             pickle.dumps(spec)
-        except Exception:
+        except Exception as err:
+            _log.warning(
+                "parallel sweep of %s runs serially: the sweep spec "
+                "cannot be sent to worker processes (%s: %s)",
+                graph.name, type(err).__name__, err,
+            )
             return {b: self.profile_model(graph, b) for b in batches}
         computed: dict[int, ModelProfile] = {}
         if missing:

@@ -1,7 +1,9 @@
 """The three stack-level tracers (paper Sec. III-B).
 
 1. **ModelTracer** — spans around user code regions (input pre-processing,
-   model prediction, output post-processing).
+   model prediction, output post-processing), opened and finished with
+   :func:`repro.core.api.start_span` / ``finish``; each finished span is
+   ingested as one row.
 2. **LayerTracer** — consumes the framework profiler's *native* output
    (TF step-stats or MXNet profile dump), converts each layer record to a
    span and parents it on the model-prediction span.  XSP "leverages the
@@ -12,9 +14,9 @@
    span*; the two carry the CUPTI ``correlation_id``.  GPU metrics are
    attached to the execution span as ``metric.*`` tags.
 
-The layer and GPU tracers convert offline and row-natively: they build
-trace-row fields straight from the native profile and the CUPTI records
-and ingest each dump in one batch - no ``Span`` objects are built.  Rows
+The layer and GPU tracers convert offline: they build trace-row fields
+straight from the native profile and the CUPTI records and ingest each
+dump in one batch.  No tracer builds ``Span`` objects.  Rows
 are generated as the trace consumes them, so a dump never exists twice
 in memory.  Launch spans are ingested without parents; parent
 reconstruction happens offline: a sweep computes the paper's
@@ -24,25 +26,23 @@ interval-containment sets
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 from repro.frameworks.profiler_format import PARSERS
 from repro.sim.cupti import ActivityRecord, ApiRecord
-from repro.tracing.span import Level, Span, SpanKind, new_span_id
+from repro.tracing.span import Level, SpanKind, new_span_id
 from repro.tracing.table import SpanView
-from repro.tracing.tracer import BufferingTracer, RowIngest, RowTracer
-
-_Sink = Callable[[Span], None]
+from repro.tracing.tracer import RowIngest, Tracer
 
 
-class ModelTracer(BufferingTracer):
+class ModelTracer(Tracer):
     """Tracer for user-code (model-level) spans."""
 
-    def __init__(self, sink: _Sink | None = None) -> None:
-        super().__init__("model_tracer", Level.MODEL, sink)
+    def __init__(self, ingest: RowIngest | None = None) -> None:
+        super().__init__("model_tracer", Level.MODEL, ingest)
 
 
-class LayerTracer(RowTracer):
+class LayerTracer(Tracer):
     """Tracer converting framework-native layer profiles into trace rows."""
 
     def __init__(self, ingest: RowIngest | None = None) -> None:
@@ -88,7 +88,7 @@ class LayerTracer(RowTracer):
         return self.ingest(rows).views()
 
 
-class GpuTracer(RowTracer):
+class GpuTracer(Tracer):
     """Tracer converting CUPTI callback/activity records into trace rows."""
 
     def __init__(self, ingest: RowIngest | None = None) -> None:

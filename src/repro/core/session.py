@@ -7,16 +7,17 @@ A session binds a system (GPU), a framework, and a tracing server.  Each
    system, honouring ``CUDA_LAUNCH_BLOCKING`` when a serialized run is
    requested,
 2. enables exactly the tracers the :class:`ProfilingConfig` asks for
-   (model / layer / GPU-kernel levels, GPU metric list),
+   (model / layer / GPU-kernel levels, GPU metric list), each bound to
+   the run's own trace through ``TracingServer.ingest_rows``,
 3. runs the model-level pipeline — input pre-processing, model
    prediction, output post-processing — with ``startSpan``/``finishSpan``
-   around each step,
+   around each step (one row per step),
 4. converts the framework profiler's native output and CUPTI's records
    into trace rows and ingests them into the tracing server,
 5. reconstructs the across-stack hierarchy offline (a sweep computing
-   the paper's interval-containment sets + launch/execution correlation) and, if parallel events made parentage
-   ambiguous, automatically re-runs serialized — the paper's prescribed
-   remedy.
+   the paper's interval-containment sets + launch/execution
+   correlation) and, if parallel events made parentage ambiguous,
+   automatically re-runs serialized — the paper's prescribed remedy.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ from repro.tracing.correlation import (
     reconstruct_parents,
 )
 from repro.tracing.server import TracingServer
-from repro.tracing.span import Level, Span, new_span_id
+from repro.tracing.span import Level, new_span_id
+from repro.tracing.table import SpanView
 from repro.tracing.trace import Trace
 
 FRAMEWORKS: dict[str, type[Framework]] = {
@@ -93,14 +95,14 @@ class ProfiledRun:
     system: str
     framework: str
     prediction: PredictionResult
-    predict_span: Span
+    predict_span: SpanView
     correlation: CorrelationResult
     kernels: list[MergedKernel] = field(default_factory=list)
     #: True when this run is the serialized retry of an ambiguous run.
     was_serialized_retry: bool = False
     # Memoized derived views; a run's trace is complete and correlated by
     # the time the run is constructed, so these never need invalidation.
-    _layer_spans: list[Span] | None = field(
+    _layer_spans: list[SpanView] | None = field(
         default=None, init=False, repr=False, compare=False
     )
     _kernels_by_layer: dict[int, list[MergedKernel]] | None = field(
@@ -116,7 +118,7 @@ class ProfiledRun:
         """High-water device memory during the prediction (MB)."""
         return self.prediction.peak_device_memory_bytes / 1e6
 
-    def layer_spans(self) -> list[Span]:
+    def layer_spans(self) -> list[SpanView]:
         if self._layer_spans is None:
             spans = self.trace.at_level(Level.LAYER)
             spans.sort(key=lambda s: s.tags.get("layer_index", 0))
@@ -222,7 +224,7 @@ class XSPSession:
             levels=config.levels.label,
         )
         ingest = partial(self.server.ingest_rows, trace_id)
-        model_tracer = ModelTracer(self.server.publish)
+        model_tracer = ModelTracer(ingest)
 
         # -- the model-level evaluation pipeline -------------------------------
         pre = start_span(model_tracer, clock.now, "input_preprocess", batch=batch)
@@ -281,12 +283,13 @@ class XSPSession:
         one ML model) is naturally supported by XSP as it uses distributed
         tracing."  Each evaluation runs normally (own runtime/clock); as
         soon as it finishes, its rows are re-published time-shifted onto
-        the application timeline via the server's streaming row path —
+        the application timeline with ``TracingServer.publish_rows`` —
         a live ``TracingServer.stream`` cursor (e.g. ``repro advise
         --live``) sees every evaluation land while later ones are still
-        running.  The single APPLICATION-level span is published last,
-        once the timeline's extent is known (its id is pre-allocated so
-        model roots can reference it throughout).
+        running.  The single APPLICATION-level span is ingested last as
+        one row, once the timeline's extent is known (its id is
+        pre-allocated so model roots can reference it throughout);
+        ``publish_rows`` stays the only per-evaluation publication.
 
         ``trace_id`` lets a caller pre-open the destination trace (and
         attach stream cursors to it) before this method runs; by default
@@ -321,16 +324,14 @@ class XSPSession:
                     run.trace.table, offset, app_span_id, graph.name
                 ),
             )
-        app_span = Span(
-            name=name,
-            start_ns=0,
-            end_ns=cursor,
-            level=Level.APPLICATION,
-            span_id=app_span_id,
-            trace_id=trace_id,
-            tags={"evaluations": len(workload)},
-        )
-        self.server.publish(app_span)
+        self.server.ingest_rows(trace_id, ({
+            "name": name,
+            "start_ns": 0,
+            "end_ns": cursor,
+            "level": Level.APPLICATION,
+            "span_id": app_span_id,
+            "tags": {"evaluations": len(workload)},
+        },))
         app_trace = self.server.end_trace(trace_id)
         return app_trace, runs
 

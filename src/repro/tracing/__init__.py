@@ -3,10 +3,11 @@
 The design follows Section III-A of the paper: every profiler in the HW/SW
 stack is turned into a *tracer*, every profiled event becomes a *span*
 tagged with its stack level, and a *tracing server* aggregates the spans
-published by all tracers into a single timeline trace.  Parent/child links
-that the profilers themselves cannot provide (GPU kernels -> layers) are
-reconstructed offline from interval containment: one sweep computes the
-paper's interval-containment sets (:mod:`repro.tracing.correlation`).
+all tracers ingest (as trace rows) into a single timeline trace.
+Parent/child links that the profilers themselves cannot provide (GPU
+kernels -> layers) are reconstructed offline from interval containment:
+one sweep computes the paper's interval-containment sets
+(:mod:`repro.tracing.correlation`).
 """
 
 from repro.tracing.span import (
@@ -20,7 +21,7 @@ from repro.tracing.span import (
 )
 from repro.tracing.index import Gap, TraceIndex
 from repro.tracing.table import SpanTable, SpanView
-from repro.tracing.tracer import BufferingTracer, NoopTracer, Tracer
+from repro.tracing.tracer import Tracer
 from repro.tracing.server import RowBatch, TraceStream, TracingServer
 from repro.tracing.trace import Trace
 from repro.tracing.correlation import (
@@ -33,13 +34,11 @@ from repro.tracing.correlation import (
 
 __all__ = [
     "AmbiguousParentError",
-    "BufferingTracer",
     "CorrelationResult",
     "Gap",
     "LaunchExecutionState",
     "Level",
     "LogEntry",
-    "NoopTracer",
     "RowBatch",
     "Span",
     "SpanKind",

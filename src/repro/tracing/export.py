@@ -75,37 +75,99 @@ def trace_from_json(document: str) -> Trace:
 
 
 def trace_from_dict(data: dict[str, Any]) -> Trace:
-    """Reconstruct a trace from an already-parsed JSON document."""
+    """Reconstruct a trace from an already-parsed JSON document.
+
+    A malformed document raises ``ValueError`` naming the missing or
+    invalid field (and the span's index for a per-span fault).
+    """
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"trace document must be a JSON object, got {type(data).__name__}"
+        )
     version = data.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(
             f"unsupported trace format version {version!r} "
             f"(expected {FORMAT_VERSION})"
         )
+    problem = _fields_problem(data, _DOCUMENT_FIELDS, len(_DOCUMENT_FIELDS))
+    if problem:
+        raise ValueError(f"trace document: {problem}")
     trace = Trace(trace_id=data["trace_id"], metadata=dict(data["metadata"]))
     # Columnar bulk ingest (not Trace.add) keeps each span's original
     # trace_id; the trace's lazy index is built on first query after
     # loading.
     table = trace.table
-    for s in data["spans"]:
-        table.append_row(
-            name=s["name"],
-            start_ns=s["start_ns"],
-            end_ns=s["end_ns"],
-            level=Level[s["level"]],
-            span_id=s["span_id"],
-            trace_id=s.get("trace_id", 0),
-            parent_id=s.get("parent_id"),
-            kind=SpanKind(s.get("kind", "internal")),
-            correlation_id=s.get("correlation_id"),
-            tags=s.get("tags") or None,
-            logs=[
-                LogEntry(timestamp_ns=e["timestamp_ns"], fields=dict(e["fields"]))
-                for e in s.get("logs", [])
-            ]
-            or None,
-        )
+    for i, s in enumerate(data["spans"]):
+        try:
+            table.append_row(
+                name=s["name"],
+                start_ns=s["start_ns"],
+                end_ns=s["end_ns"],
+                level=Level[s["level"]],
+                span_id=s["span_id"],
+                trace_id=s.get("trace_id", 0),
+                parent_id=s.get("parent_id"),
+                kind=SpanKind(s.get("kind", "internal")),
+                correlation_id=s.get("correlation_id"),
+                tags=s.get("tags") or None,
+                logs=[
+                    LogEntry(timestamp_ns=e["timestamp_ns"],
+                             fields=dict(e["fields"]))
+                    for e in s.get("logs", [])
+                ]
+                or None,
+            )
+        except (AttributeError, KeyError, TypeError, ValueError) as err:
+            # Diagnose only on failure: the happy path stays one pass.
+            raise ValueError(
+                f"span {i}: {_span_problem(s) or err}"
+            ) from err
     return trace
+
+
+#: A trace document's fields and their JSON types (all required).
+_DOCUMENT_FIELDS = (("trace_id", int), ("metadata", dict), ("spans", list))
+#: A span object's fields and their JSON types; the first five are
+#: required, the rest may be absent or null.
+_SPAN_FIELDS = (
+    ("name", str), ("start_ns", int), ("end_ns", int), ("level", str),
+    ("span_id", int), ("trace_id", int), ("parent_id", int),
+    ("correlation_id", int), ("kind", str), ("tags", dict), ("logs", list),
+)
+_JSON_TYPES = {int: "integer", str: "string", dict: "object", list: "array"}
+
+
+def _fields_problem(
+    obj: dict[str, Any], fields: tuple[tuple[str, type], ...], required: int
+) -> str:
+    """The first missing or mistyped field of ``obj``, or ``""``."""
+    for n, (key, kind) in enumerate(fields):
+        if key not in obj:
+            if n < required:
+                return f"missing field {key!r}"
+        elif not isinstance(obj[key], kind) and (
+            n < required or obj[key] is not None
+        ):
+            return (
+                f"field {key!r} must be a JSON {_JSON_TYPES[kind]}, "
+                f"got {obj[key]!r}"
+            )
+    return ""
+
+
+def _span_problem(span: Any) -> str:
+    """Which field makes ``span`` unloadable, or ``""`` if none is named."""
+    if not isinstance(span, dict):
+        return f"must be a JSON object, got {span!r}"
+    problem = _fields_problem(span, _SPAN_FIELDS, 5)
+    if problem:
+        return problem
+    if span["level"] not in Level.__members__:
+        return f"field 'level' is not a stack level: {span['level']!r}"
+    if span.get("kind", "internal") not in {k.value for k in SpanKind}:
+        return f"field 'kind' is not a span kind: {span['kind']!r}"
+    return ""
 
 
 def trace_to_chrome(trace: Trace) -> str:

@@ -3,10 +3,15 @@
 The paper publishes spans from each tracer to a tracing server (local or
 remote) which aggregates them into one application timeline trace.  This
 reproduction runs everything in one process, so the server is a thread-safe
-in-memory collector keyed by ``trace_id``.
+in-memory collector keyed by ``trace_id``.  Data arrives only as rows
+(:meth:`~repro.tracing.trace.Trace.add_row` field mappings) addressed to
+one open trace: :meth:`TracingServer.ingest_rows` for a tracer's per-run
+dump, :meth:`TracingServer.publish_rows` for an evaluation re-published
+onto an application timeline.  No ``Span`` object is built on either
+path.
 
 Streaming consumption (live monitoring) rides on the same lock: every
-publication advances the destination trace's completed-row watermark and
+row batch advances the destination trace's completed-row watermark and
 wakes a condition variable, and :meth:`TracingServer.stream` hands out
 :class:`TraceStream` cursors that yield contiguous :class:`RowBatch`
 windows of new rows — row indices into the trace's columnar table, no
@@ -17,9 +22,9 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
-from repro.tracing.span import Span, new_trace_id
+from repro.tracing.span import new_trace_id
 from repro.tracing.table import SpanTable, SpanView
 from repro.tracing.trace import Trace
 
@@ -153,26 +158,18 @@ class TraceStream:
 
 
 class TracingServer:
-    """Aggregates spans published by tracers into per-trace timelines."""
+    """Aggregates the rows tracers ingest into per-trace timelines."""
 
     def __init__(self) -> None:
-        # Reentrant: publish() may open a trace on demand while holding it.
-        self._lock = threading.RLock()
-        # Wakes stream cursors after every publication / trace end.
+        self._lock = threading.Lock()
+        # Wakes stream cursors after every row batch / trace end.
         self._cond = threading.Condition(self._lock)
         self._traces: dict[int, Trace] = {}
-        #: Highest trace id ever ended.  Trace ids are a monotonic
-        #: process counter, so any id at/below this watermark that is no
-        #: longer live has been ended — late publishes to it are dropped
-        #: rather than resurrecting an orphan timeline, and the server
-        #: keeps O(1) state per lifecycle instead of a growing id set.
-        self._ended_watermark = 0
         self._active_trace_id: int | None = None
-        self._subscribers: list[Callable[[Span], None]] = []
 
     # -- trace lifecycle ----------------------------------------------------
     def begin_trace(self, **metadata: object) -> int:
-        """Open a new trace and make it the active destination for spans."""
+        """Open a new trace; it becomes the default :meth:`stream` target."""
         trace_id = new_trace_id()
         with self._lock:
             self._traces[trace_id] = Trace(trace_id=trace_id, metadata=dict(metadata))
@@ -185,13 +182,13 @@ class TracingServer:
         The trace is evicted from the server — callers own the returned
         timeline, and a long-lived server no longer accumulates every
         trace it ever aggregated.  Ending an unknown (or already-ended)
-        trace raises ``KeyError``.
+        trace raises ``KeyError``, and so does any later row addressed to
+        it: an ended trace never comes back.
         """
         with self._lock:
             if self._active_trace_id == trace_id:
                 self._active_trace_id = None
             trace = self._traces.pop(trace_id)
-            self._ended_watermark = max(self._ended_watermark, trace_id)
             trace.closed = True
             self._cond.notify_all()
             return trace
@@ -201,52 +198,16 @@ class TracingServer:
         return self._active_trace_id
 
     # -- publication ----------------------------------------------------------
-    def publish(self, span: Span) -> None:
-        """Publish one span into the active trace (or its own ``trace_id``)."""
-        self.publish_many((span,))
-
-    def publish_many(self, spans: Iterable[Span]) -> None:
-        """Publish spans into their traces under one lock acquisition.
-
-        Each span goes to its own ``trace_id`` or, without one, to the
-        active trace, and is appended straight into that trace's
-        columnar table.  Spans addressed to an already-ended trace are
-        dropped: the caller owns that timeline now, and re-creating it
-        here would leak an orphan trace no one can retrieve.
-        """
-        subscribers: list[Callable[[Span], None]] = []
-        published: list[Span] = []
-        with self._lock:
-            for span in spans:
-                tid = span.trace_id or self._active_trace_id
-                if (
-                    tid is not None
-                    and tid <= self._ended_watermark
-                    and tid not in self._traces
-                ):
-                    continue  # addressed to an ended trace
-                trace = self._destination(tid)
-                trace.add(span)
-                if self._subscribers:
-                    published.append(span)
-            self._cond.notify_all()
-            if published:
-                subscribers = list(self._subscribers)
-        for fn in subscribers:
-            for span in published:
-                fn(span)
-
     def publish_rows(
         self, trace_id: int, rows: Iterable[Mapping[str, Any]]
     ) -> int:
         """Columnar batch publication into one *open* trace.
 
         Each mapping is a set of :meth:`Trace.add_row` keywords; the
-        whole batch lands under a single lock acquisition and no ``Span``
-        object is ever constructed — the span-free streaming-ingest path
-        (``profile_application`` re-publishes each finished evaluation
-        through it).  Row-level publication is visible to
-        :meth:`stream` cursors but not to span-object subscribers.
+        whole batch lands under a single lock acquisition —
+        ``profile_application`` re-publishes each finished evaluation
+        onto the application timeline through it, and :meth:`stream`
+        cursors see the rows.  Returns the number of rows published.
         Raises ``KeyError`` for an unknown or already-ended trace.
         """
         _, start, stop = self._append_rows(trace_id, rows)
@@ -260,12 +221,12 @@ class TracingServer:
         The layer, GPU and library tracers build :meth:`Trace.add_row`
         fields straight from the profilers' records and land a whole
         dump here under one lock acquisition (``rows`` may be a
-        generator; it is consumed under the lock); no ``Span`` is built.
-        Returns the ingested rows as a :class:`RowBatch`.  Like
-        :meth:`publish_rows`, the rows reach :meth:`stream` cursors but
-        not span-object subscribers; unlike it, this is the per-run
-        ingest of a capture, not a publication onto an application
-        timeline.  Raises ``KeyError`` for an unknown or ended trace.
+        generator; it is consumed under the lock), and the model tracer
+        one row per finished span.  Returns the ingested rows as a
+        :class:`RowBatch`.  Like :meth:`publish_rows`, the rows reach
+        :meth:`stream` cursors; unlike it, this is the per-run ingest of
+        a capture, not a publication onto an application timeline.
+        Raises ``KeyError`` for an unknown or ended trace.
         """
         return RowBatch(*self._append_rows(trace_id, rows))
 
@@ -283,24 +244,10 @@ class TracingServer:
             self._cond.notify_all()
             return trace, start, trace.watermark
 
-    def _destination(self, trace_id: int | None) -> Trace:
-        """The open trace a span goes to, created on first use (lock held)."""
-        if trace_id is None:
-            trace_id = self.begin_trace()
-        trace = self._traces.get(trace_id)
-        if trace is None:
-            trace = self._traces[trace_id] = Trace(trace_id=trace_id)
-        return trace
-
     def annotate_trace(self, trace_id: int, **metadata: object) -> None:
         """Merge metadata into an open trace, under the server lock."""
         with self._lock:
             self._traces[trace_id].metadata.update(metadata)
-
-    def subscribe(self, fn: Callable[[Span], None]) -> None:
-        """Register a callback invoked for every published span (for tooling)."""
-        with self._lock:
-            self._subscribers.append(fn)
 
     # -- streaming --------------------------------------------------------------
     def stream(self, trace_id: int | None = None) -> TraceStream:
@@ -328,12 +275,6 @@ class TracingServer:
 
     def clear(self) -> None:
         with self._lock:
-            # Raise the watermark over every trace dropped here: ids are
-            # process-global, so spans addressed to pre-clear traces stay
-            # dropped, not revived as orphans.
-            self._ended_watermark = max(
-                [self._ended_watermark, *self._traces]
-            )
             for trace in self._traces.values():
                 trace.closed = True
             self._traces.clear()

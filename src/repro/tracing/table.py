@@ -23,13 +23,15 @@ stores the same data as parallel typed columns:
 (span ids are positive: they come from a process counter or a capture's
 own positive ids).
 
-Spans are still *created* as :class:`Span` objects by the tracers — the
-table is the storage they are ingested into.  Reading back out happens
-through :class:`SpanView`, a two-slot flyweight bound to (table, row)
-that exposes the full ``Span`` attribute surface.  Views compare equal
-to each other and to equivalent ``Span`` objects, and ``parent_id``
-assignment on a view writes through to the column — the offline
-correlation contract (`trace.touch_parents()`) is unchanged.
+The tracers build no :class:`Span` objects: they hand row fields to
+:meth:`SpanTable.append_row` (through the tracing server), and
+:meth:`SpanTable.append` ingests a hand-built ``Span`` the same way.
+Reading back out happens through :class:`SpanView`, a two-slot flyweight
+bound to (table, row) that exposes the full ``Span`` attribute surface.
+Views compare equal to each other and to equivalent ``Span`` objects,
+and ``parent_id`` assignment on a view writes through to the column —
+the offline correlation contract (`trace.touch_parents()`) is
+unchanged.
 
 Materialization rule: reading ``view.tags`` (or ``view.logs``)
 *promotes* the row — the packed tuple is expanded into a real dict that
@@ -354,22 +356,6 @@ class SpanTable:
     def views(self) -> Iterator["SpanView"]:
         for row in range(len(self.span_id)):
             yield SpanView(self, row)
-
-    def to_span(self, row: int) -> Span:
-        """Materialize one row as a standalone (detached) :class:`Span`."""
-        return Span(
-            name=self.name_of(row),
-            start_ns=self.start_ns[row],
-            end_ns=self.end_ns[row],
-            level=self.level_of(row),
-            span_id=self.span_id[row],
-            trace_id=self.trace_id[row],
-            parent_id=self.parent_id_of(row),
-            kind=self.kind_of(row),
-            tags=dict(self.peek_tags(row)),
-            logs=list(self.peek_logs(row)),
-            correlation_id=self.correlation_id_of(row),
-        )
 
 
 class SpanView:

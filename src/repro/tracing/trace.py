@@ -4,12 +4,12 @@ A :class:`Trace` is what the tracing server hands to the analysis pipeline.
 It provides level-based queries, child lookup, and export to the Chrome
 ``chrome://tracing`` JSON format for visual inspection.
 
-Storage is columnar: every published span is appended to the trace's
+Storage is columnar: every ingested row is appended to the trace's
 :class:`~repro.tracing.table.SpanTable` (structure-of-arrays — see that
 module for the storage contract) and no per-span objects are retained.
-``trace.spans`` remains a list-like sequence for source compatibility; it
-yields lightweight :class:`~repro.tracing.table.SpanView` flyweights bound
-to the table's rows.
+Iterating a trace yields lightweight
+:class:`~repro.tracing.table.SpanView` flyweights bound to the table's
+rows; ``len(trace)`` counts the completed rows.
 
 Queries are served by a lazily-built :class:`~repro.tracing.index.TraceIndex`
 (index once, query many): the first query pays one O(n log n) build,
@@ -32,59 +32,13 @@ from repro.tracing.span import Level, Span, SpanKind
 from repro.tracing.table import SpanTable, SpanView
 
 
-class SpanSequence:
-    """List-like, append-able view of a trace's span table.
-
-    Kept source-compatible with the former ``list[Span]`` field:
-    iteration, indexing, ``len``, and ``append``/``extend`` all work (the
-    latter two ingest into the columns; the index's length check picks
-    the change up, exactly as a direct list append did).
-    """
-
-    __slots__ = ("_table",)
-
-    def __init__(self, table: SpanTable) -> None:
-        self._table = table
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def __iter__(self) -> Iterator[SpanView]:
-        return self._table.views()
-
-    def __getitem__(self, item: int | slice):
-        n = len(self._table)
-        if isinstance(item, slice):
-            return [SpanView(self._table, row) for row in range(n)[item]]
-        row = item if item >= 0 else n + item
-        if not 0 <= row < n:
-            raise IndexError("span index out of range")
-        return SpanView(self._table, row)
-
-    def __bool__(self) -> bool:
-        return len(self._table) > 0
-
-    def append(self, span: Span) -> None:
-        self._table.append(span)
-
-    def extend(self, spans: Iterable[Span]) -> None:
-        for span in spans:
-            self._table.append(span)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SpanSequence(<{len(self._table)} spans>)"
-
-
 class Trace:
     """An ordered collection of spans sharing a ``trace_id``."""
 
     __slots__ = ("trace_id", "table", "metadata", "closed", "_index")
 
     def __init__(
-        self,
-        trace_id: int,
-        spans: Iterable[Span] | None = None,
-        metadata: dict[str, Any] | None = None,
+        self, trace_id: int, metadata: dict[str, Any] | None = None
     ) -> None:
         self.trace_id = trace_id
         self.table = SpanTable()
@@ -93,8 +47,6 @@ class Trace:
         #: cursors use it to know no further rows will arrive.
         self.closed = False
         self._index: TraceIndex | None = None
-        if spans is not None:
-            self.extend(spans)
 
     # -- mutation ---------------------------------------------------------
     def add(self, span: Span) -> None:
@@ -146,10 +98,6 @@ class Trace:
             self._index.invalidate_parents()
 
     # -- queries ------------------------------------------------------------
-    @property
-    def spans(self) -> SpanSequence:
-        return SpanSequence(self.table)
-
     def __len__(self) -> int:
         # The completed-append mark, not the raw column length: equal in
         # every single-threaded flow, and the safe count mid-capture.

@@ -1,5 +1,7 @@
 """Parallel batch sweeps: worker-process fan-out matches the serial path."""
 
+import logging
+
 import pytest
 
 from repro.core import AnalysisPipeline, ProfileStore, XSPSession
@@ -66,7 +68,7 @@ def test_parallel_sweep_serves_cached_batches_without_workers(
         _assert_profiles_equal(expected[batch], served[batch])
 
 
-def test_unpicklable_statistic_falls_back_to_serial(graph):
+def test_unpicklable_statistic_falls_back_to_serial(graph, caplog):
     calls = []
 
     def local_stat(values):  # locals don't pickle -> serial fallback
@@ -74,9 +76,14 @@ def test_unpicklable_statistic_falls_back_to_serial(graph):
         return sum(values) / len(values)
 
     pipe = _pipeline(statistic=local_stat)
-    result = pipe.sweep(graph, BATCHES, parallel=True)
+    with caplog.at_level(logging.WARNING, logger="repro.core.pipeline"):
+        result = pipe.sweep(graph, BATCHES, parallel=True)
     assert sorted(result) == sorted(BATCHES)
     assert calls  # the statistic ran in this process
+    (record,) = [r for r in caplog.records if r.name == "repro.core.pipeline"]
+    assert record.levelno == logging.WARNING
+    assert "serially" in record.getMessage()
+    assert "local_stat" in record.getMessage()  # the pickling error
 
 
 def test_parallel_sweep_with_custom_gpu_spec(graph):

@@ -114,8 +114,8 @@ def test_run_index_changes_latency_slightly(v100_session, cnn_graph):
 def test_profiler_output_is_ingested_without_span_objects(
     cnn_graph, monkeypatch
 ):
-    """Layer, GPU and library output go straight into trace rows: the
-    only Span objects a run builds are the model tracer's three."""
+    """Every tracer - model, layer, GPU and library - and the application
+    span go straight into trace rows: a run builds no Span object."""
     from repro.core import MLLibG
     from repro.tracing import span as span_mod
 
@@ -129,7 +129,37 @@ def test_profiler_output_is_ingested_without_span_objects(
     monkeypatch.setattr(span_mod.Span, "__post_init__", counting)
     session = XSPSession("Tesla_V100", "tensorflow_like")
     run = session.profile(cnn_graph, 2, ProfilingConfig(levels=MLLibG))
-    assert built == ["input_preprocess", "predict", "output_postprocess"]
+    assert built == []
     assert {s.level for s in run.trace} == {
         Level.MODEL, Level.LAYER, Level.LIBRARY, Level.GPU_KERNEL
     }
+    app_trace, runs = session.profile_application(
+        [(cnn_graph, 1), (cnn_graph, 2)], config=ProfilingConfig(levels=MLG)
+    )
+    assert built == []
+    assert len(runs) == 2
+    assert [s.name for s in app_trace.at_level(Level.APPLICATION)] == [
+        "application"
+    ]
+
+
+def test_model_spans_stay_in_their_runs_trace(cnn_graph, monkeypatch):
+    """Regression: another trace opened on the shared server mid-run
+    (another session, a live monitor) must not capture the run's model
+    spans - each tracer is bound to the run's own trace."""
+    session = XSPSession("Tesla_V100", "tensorflow_like")
+    original = session._predict
+    opened = []
+
+    def predict_and_open_another_trace(*args, **kwargs):
+        opened.append(session.server.begin_trace(intruder=True))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(session, "_predict", predict_and_open_another_trace)
+    run = session.profile(cnn_graph, 2, ProfilingConfig(levels=M))
+    assert [s.name for s in run.trace.at_level(Level.MODEL)] == [
+        "input_preprocess", "predict", "output_postprocess"
+    ]
+    assert all(s.trace_id == run.trace.trace_id for s in run.trace)
+    (other,) = opened
+    assert len(session.server.get_trace(other)) == 0

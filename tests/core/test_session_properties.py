@@ -17,7 +17,7 @@ def test_trace_invariants_across_batches(cnn_graph, batch):
     by_id = trace.by_id()
 
     # Every span's parent (when set) exists and contains it level-above.
-    for span in trace.spans:
+    for span in trace:
         if span.parent_id is None:
             continue
         parent = by_id[span.parent_id]
@@ -32,8 +32,8 @@ def test_trace_invariants_across_batches(cnn_graph, batch):
     assert all(run.predict_span.contains(s) for s in layers)
 
     # Launch/execution pairing is complete and 1:1.
-    launches = [s for s in trace.spans if s.kind is SpanKind.LAUNCH]
-    executions = [s for s in trace.spans if s.kind is SpanKind.EXECUTION]
+    launches = [s for s in trace if s.kind is SpanKind.LAUNCH]
+    executions = [s for s in trace if s.kind is SpanKind.EXECUTION]
     assert len(launches) == len(executions) == len(run.kernels)
     assert {s.correlation_id for s in launches} == \
         {s.correlation_id for s in executions}

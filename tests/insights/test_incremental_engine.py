@@ -122,7 +122,7 @@ def test_matches_plain_engine_on_builtin_rules():
     identical to a fresh full-engine run over the same context."""
     profile = build_basic_profile()
     full_trace = make_matching_trace(profile, gap_us=50.0)
-    spans = [s for s in full_trace.spans]
+    spans = list(full_trace)
 
     incremental = InsightEngine()
     from repro.tracing import Trace

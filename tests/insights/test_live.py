@@ -7,18 +7,19 @@ import threading
 from factories import build_basic_profile, make_matching_trace
 
 from repro.insights import LiveMonitor
-from repro.tracing import Level, Span, TracingServer
+from repro.tracing import Level, TracingServer
 
 
-def _capture_spans():
-    """A realistic capture (model + layers + kernel pairs) as Span list."""
+def _capture_rows():
+    """A realistic capture (model + layers + kernel pairs) as row fields,
+    without parents (correlation rebuilds them)."""
     profile = build_basic_profile()
     trace = make_matching_trace(profile, gap_us=100.0)
     return [
-        Span(v.name, v.start_ns, v.end_ns, v.level, span_id=v.span_id,
-             kind=v.kind, correlation_id=v.correlation_id,
-             tags=dict(v.iter_tags()))
-        for v in trace.spans
+        dict(name=v.name, start_ns=v.start_ns, end_ns=v.end_ns,
+             level=v.level, span_id=v.span_id, kind=v.kind,
+             correlation_id=v.correlation_id, tags=dict(v.iter_tags()))
+        for v in trace
     ]
 
 
@@ -33,10 +34,10 @@ def test_monitor_refreshes_per_batch_and_finishes():
     server = TracingServer()
     tid = _begin(server)
     monitor = LiveMonitor(server, tid, correlate=True)
-    spans = _capture_spans()
-    third = len(spans) // 3
+    rows = _capture_rows()
+    third = len(rows) // 3
 
-    server.publish_many(spans[:third])
+    server.publish_rows(tid, rows[:third])
     first = monitor.poll()
     assert first is not None and not first.final
     assert first.new_rows == third
@@ -47,11 +48,11 @@ def test_monitor_refreshes_per_batch_and_finishes():
     assert monitor.poll() is None
     assert monitor.engine.evaluations == evaluations
 
-    server.publish_many(spans[third:])
+    server.publish_rows(tid, rows[third:])
     server.end_trace(tid)
     second = monitor.poll()
     assert second is not None and second.final
-    assert second.n_spans == len(spans)
+    assert second.n_spans == len(rows)
     assert monitor.done
     assert monitor.poll() is None
 
@@ -66,17 +67,17 @@ def test_monitor_correlates_incrementally():
     server = TracingServer()
     tid = _begin(server)
     monitor = LiveMonitor(server, tid, correlate=True)
-    spans = _capture_spans()
+    rows = _capture_rows()
     # Split on a span boundary such that each increment carries whole
     # layers (parents never arrive after their children's increment).
-    layer_ids = [s.span_id for s in spans if s.level is Level.LAYER]
+    layer_ids = [r["span_id"] for r in rows if r["level"] is Level.LAYER]
     cut = next(
-        i for i, s in enumerate(spans) if s.span_id == layer_ids[1]
+        i for i, r in enumerate(rows) if r["span_id"] == layer_ids[1]
     ) + 1
-    server.publish_many(spans[:cut])
+    server.publish_rows(tid, rows[:cut])
     update = monitor.poll()
     assert update is not None
-    server.publish_many(spans[cut:])
+    server.publish_rows(tid, rows[cut:])
     server.end_trace(tid)
     final = monitor.poll()
     assert final is not None and final.final
@@ -86,7 +87,7 @@ def test_monitor_correlates_incrementally():
     from repro.tracing.span import SpanKind
 
     executions = [
-        s for s in trace.spans if s.kind is SpanKind.EXECUTION
+        s for s in trace if s.kind is SpanKind.EXECUTION
     ]
     assert executions
     assert all(s.parent_id in layer_set for s in executions)
@@ -96,12 +97,12 @@ def test_monitor_blocking_updates_with_producer_thread():
     server = TracingServer()
     tid = _begin(server)
     monitor = LiveMonitor(server, tid)
-    spans = _capture_spans()
+    rows = _capture_rows()
 
     def produce():
-        half = len(spans) // 2
-        server.publish_many(spans[:half])
-        server.publish_many(spans[half:])
+        half = len(rows) // 2
+        server.publish_rows(tid, rows[:half])
+        server.publish_rows(tid, rows[half:])
         server.end_trace(tid)
 
     producer = threading.Thread(target=produce)
@@ -110,8 +111,8 @@ def test_monitor_blocking_updates_with_producer_thread():
     producer.join()
     assert updates  # at least one refresh observed
     assert updates[-1].final
-    assert updates[-1].n_spans == len(spans)
-    assert sum(u.new_rows for u in updates) == len(spans)
+    assert updates[-1].n_spans == len(rows)
+    assert sum(u.new_rows for u in updates) == len(rows)
 
 
 def test_monitor_empty_closed_trace_yields_nothing():

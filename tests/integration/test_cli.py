@@ -61,9 +61,30 @@ def test_experiments_single(capsys):
     assert "0 deviations" in out
 
 
-def test_unknown_model_errors():
-    with pytest.raises(KeyError):
-        main(["sweep", "--model", "999", "--batches", "1"])
+def _assert_one_error_line(capsys, *fragments):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    for fragment in fragments:
+        assert fragment in lines[0]
+
+
+def test_unknown_model_errors(capsys):
+    assert main(["sweep", "--model", "999", "--batches", "1"]) == 1
+    _assert_one_error_line(capsys, "no model with paper ID 999")
+
+
+@pytest.mark.parametrize("argv", [
+    ["profile", "--model", "9999", "--runs", "1"],
+    ["sweep", "--model", "9999", "--batches", "1"],
+    ["trace", "--model", "9999", "--stats"],
+    ["advise", "--model", "9999"],
+    ["advise", "--model", "NoSuchNet", "--live"],
+])
+def test_unknown_model_exits_1_with_one_line(argv, capsys):
+    assert main(argv) == 1
+    _assert_one_error_line(capsys, "9999" if "9999" in argv else "NoSuchNet")
 
 
 # -- every subcommand smoke-tested through main(argv) ------------------------
@@ -166,6 +187,15 @@ def test_advise_from_trace_rejects_non_trace(tmp_path, capsys):
     bogus.write_text("{}")
     assert main(["advise", "--from-trace", str(bogus)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_malformed_trace_names_the_field(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"format_version": 1, "spans": 3}')
+    assert main(["advise", "--from-trace", str(bad)]) == 2
+    _assert_one_error_line(capsys, "--from-trace", "missing field 'trace_id'")
+    assert main(["diff", str(bad), str(bad)]) == 2
+    _assert_one_error_line(capsys, str(bad), "missing field 'trace_id'")
 
 
 def test_advise_requires_model_or_trace(capsys):

@@ -182,14 +182,14 @@ def layered_trace(draw):
 def test_reconstruction_is_level_monotone_forest(trace):
     reconstruct_parents(trace, strict=True)
     by_id = trace.by_id()
-    for span in trace.spans:
+    for span in trace:
         if span.parent_id is None:
             continue
         parent = by_id[span.parent_id]
         assert parent.level < span.level
         assert parent.contains(span)
     # No cycles: walking parents always terminates at a root.
-    for span in trace.spans:
+    for span in trace:
         seen = set()
         node = span
         while node.parent_id is not None:

@@ -30,14 +30,14 @@ def test_round_trip_preserves_everything():
     assert restored.trace_id == 42
     assert restored.metadata == {"model": "m", "batch": 8}
     assert len(restored) == 3
-    for a, b in zip(original.spans, restored.spans):
+    for a, b in zip(original, restored):
         assert (a.name, a.start_ns, a.end_ns, a.level, a.span_id,
                 a.parent_id, a.kind, a.correlation_id) == \
             (b.name, b.start_ns, b.end_ns, b.level, b.span_id,
              b.parent_id, b.kind, b.correlation_id)
     # tuples become lists in JSON; values are preserved.
-    assert restored.spans[0].tags["shape"] == [8, 3, 4, 4]
-    assert restored.spans[2].logs[0].fields == {"event": "queued"}
+    assert restored.table.view(0).tags["shape"] == [8, 3, 4, 4]
+    assert restored.table.view(2).logs[0].fields == {"event": "queued"}
 
 
 def test_file_round_trip(tmp_path):
@@ -54,6 +54,50 @@ def test_version_check():
     doc["format_version"] = FORMAT_VERSION + 1
     with pytest.raises(ValueError, match="format version"):
         trace_from_json(json.dumps(doc))
+
+
+def _good_span(**changes):
+    span = {"name": "a", "start_ns": 0, "end_ns": 1, "level": "MODEL",
+            "span_id": 1}
+    span.update(changes)
+    return {k: v for k, v in span.items() if v is not None}
+
+
+@pytest.mark.parametrize("document, message", [
+    ({"format_version": 1, "spans": 3}, "missing field 'trace_id'"),
+    ([1, 2], "must be a JSON object"),
+    ({"format_version": 1, "trace_id": 1, "spans": []},
+     "missing field 'metadata'"),
+    ({"format_version": 1, "trace_id": "x", "metadata": {}, "spans": []},
+     "field 'trace_id' must be a JSON integer"),
+    ({"format_version": 1, "trace_id": 1, "metadata": {}, "spans": 3},
+     "field 'spans' must be a JSON array"),
+    ({"format_version": 1, "trace_id": 1, "metadata": {},
+      "spans": [_good_span(), _good_span(end_ns=None)]},
+     "span 1: missing field 'end_ns'"),
+    ({"format_version": 1, "trace_id": 1, "metadata": {},
+      "spans": [_good_span(start_ns="0")]},
+     "span 0: field 'start_ns' must be a JSON integer"),
+    ({"format_version": 1, "trace_id": 1, "metadata": {},
+      "spans": [_good_span(level="NOPE")]},
+     "span 0: field 'level' is not a stack level"),
+    ({"format_version": 1, "trace_id": 1, "metadata": {},
+      "spans": [_good_span(kind="sideways")]},
+     "span 0: field 'kind' is not a span kind"),
+    ({"format_version": 1, "trace_id": 1, "metadata": {},
+      "spans": [_good_span(parent_id="1")]},
+     "span 0: field 'parent_id' must be a JSON integer"),
+    ({"format_version": 1, "trace_id": 1, "metadata": {}, "spans": [7]},
+     "span 0: must be a JSON object"),
+    ({"format_version": 1, "trace_id": 1, "metadata": {},
+      "spans": [_good_span(start_ns=5, end_ns=1)]},
+     "span 0: .*precedes"),
+])
+def test_malformed_document_names_the_field(document, message):
+    from repro.tracing.export import trace_from_dict
+
+    with pytest.raises(ValueError, match=message):
+        trace_from_dict(document)
 
 
 def test_restored_trace_supports_analysis_queries():
@@ -139,7 +183,7 @@ def test_non_json_log_fields_export_via_jsonable():
     span.log(5, payload=Payload(), shape=(1, 2), ok=True)
     t.add(span)
     restored = trace_from_json(trace_to_json(t))  # must not raise
-    fields = restored.spans[0].logs[0].fields
+    fields = restored.table.view(0).logs[0].fields
     assert fields["payload"] == "Payload<7>"
     assert fields["shape"] == [1, 2]
     assert fields["ok"] is True

@@ -106,7 +106,7 @@ def test_round_trip_preserves_identity_and_structure(seed):
 
     assert restored.trace_id == original.trace_id
     assert len(restored) == len(original)
-    for a, b in zip(original.spans, restored.spans):
+    for a, b in zip(original, restored):
         assert b.span_id == a.span_id
         assert b.parent_id == a.parent_id
         assert b.level is a.level
@@ -156,7 +156,7 @@ def test_table_views_are_equivalent_to_ingested_spans(seed):
     trace = Trace(trace_id=7)
     trace.extend(spans)
     assert len(trace) == len(spans)
-    for original, view in zip(spans, trace.spans):
+    for original, view in zip(spans, trace):
         assert view.name == original.name
         assert view.start_ns == original.start_ns
         assert view.end_ns == original.end_ns
@@ -179,7 +179,7 @@ def test_view_materialization_does_not_change_export(seed):
     storage are the same logical trace."""
     trace = _random_trace(seed)
     before = trace_to_json(trace)
-    for view in trace.spans:
+    for view in trace:
         view.tags  # promotes packed tag-sets into the side-store
         view.logs  # materializes empty log lists
     assert trace_to_json(trace) == before
@@ -206,14 +206,14 @@ def test_mutation_through_views_reaches_storage_and_export(seed):
     """parent_id writes, tag() and log() through views land in the
     columns/side-stores and round-trip through the export."""
     trace = _random_trace(seed)
-    views = list(trace.spans)
+    views = list(trace)
     root = views[0]
     for view in views[1:]:
         view.parent_id = root.span_id
     trace.touch_parents()
     views[-1].tag("edited", "yes").log(123, event="flush")
     restored = trace_from_json(trace_to_json(trace))
-    restored_views = list(restored.spans)
+    restored_views = list(restored)
     for view in restored_views[1:]:
         assert view.parent_id == root.span_id
     assert restored_views[-1].tags["edited"] == "yes"
@@ -231,7 +231,7 @@ def test_round_trip_preserves_hierarchy_queries(seed):
     assert {s.span_id for s in restored.roots()} == {
         s.span_id for s in original.roots()
     }
-    for span in original.spans:
+    for span in original:
         restored_span = restored.by_id()[span.span_id]
         assert {c.span_id for c in restored.children_of(restored_span)} == {
             c.span_id for c in original.children_of(span)

@@ -1,36 +1,44 @@
 """Unit tests for the tracing server."""
 
-from repro.tracing import Level, Span, TracingServer
+from functools import partial
+
+import pytest
+
+from repro.tracing import Level, TracingServer, new_span_id
 
 
-def _span(name, start=0, end=10, level=Level.MODEL):
-    return Span(name, start, end, level)
+def _row(name, start=0, end=10, level=Level.MODEL):
+    return dict(name=name, start_ns=start, end_ns=end, level=level,
+                span_id=new_span_id())
 
 
 def test_begin_trace_routes_spans():
     server = TracingServer()
     tid = server.begin_trace(model="m")
-    server.publish(_span("a"))
+    server.ingest_rows(tid, [_row("a")])
     trace = server.end_trace(tid)
-    assert [s.name for s in trace.spans] == ["a"]
+    assert [s.name for s in trace] == ["a"]
     assert trace.metadata["model"] == "m"
 
 
 def test_publish_to_explicit_trace_id():
+    """Rows go to the trace they are addressed to, not the newest one."""
     server = TracingServer()
     t1 = server.begin_trace()
     t2 = server.begin_trace()
-    span = _span("explicit")
-    span.trace_id = t1
-    server.publish(span)
+    server.publish_rows(t1, [_row("explicit")])
     assert len(server.get_trace(t1)) == 1
     assert len(server.get_trace(t2)) == 0
 
 
-def test_publish_without_trace_creates_one():
+def test_rows_for_an_unknown_trace_raise():
+    """There is no implicit trace: rows need an open trace id."""
     server = TracingServer()
-    server.publish(_span("orphan"))
-    assert len(server.traces()) == 1
+    with pytest.raises(KeyError):
+        server.ingest_rows(12345, [_row("orphan")])
+    with pytest.raises(KeyError):
+        server.publish_rows(12345, [_row("orphan")])
+    assert server.traces() == []
 
 
 def test_end_trace_deactivates():
@@ -40,49 +48,24 @@ def test_end_trace_deactivates():
     assert server.active_trace_id is None
 
 
-def test_subscribers_see_spans():
-    server = TracingServer()
-    seen = []
-    server.subscribe(seen.append)
-    server.begin_trace()
-    server.publish(_span("x"))
-    assert [s.name for s in seen] == ["x"]
-
-
-def test_publish_many_batches_into_columns():
-    """The batch ingest path: one lock round, spans land in the active
-    trace's columnar table, subscribers still see every span."""
-    server = TracingServer()
-    seen = []
-    server.subscribe(seen.append)
-    tid = server.begin_trace()
-    server.publish_many(_span(f"s{i}", i, i + 1) for i in range(5))
-    trace = server.end_trace(tid)
-    assert [s.name for s in trace.spans] == [f"s{i}" for i in range(5)]
-    assert [s.name for s in seen] == [f"s{i}" for i in range(5)]
-
-
-def test_publish_many_drops_spans_for_ended_traces():
-    server = TracingServer()
-    tid = server.begin_trace()
-    server.end_trace(tid)
-    late = _span("late")
-    late.trace_id = tid
-    server.publish_many([late])
-    assert server.traces() == []
-
-
 def test_multiple_tracers_aggregate_into_one_timeline():
     """The core idea: spans from different tracers merge into one trace."""
-    from repro.tracing import BufferingTracer
+    from repro.core.api import start_span
+    from repro.sim import VirtualClock
+    from repro.tracing import Tracer
 
     server = TracingServer()
     tid = server.begin_trace()
-    model_tracer = BufferingTracer("model", Level.MODEL, server.publish)
-    layer_tracer = BufferingTracer("layer", Level.LAYER, server.publish)
-    model_tracer.span("predict", 0, 100)
-    layer_tracer.span("conv", 10, 60)
-    layer_tracer.span("relu", 60, 90)
+    ingest = partial(server.ingest_rows, tid)
+    model_tracer = Tracer("model", Level.MODEL, ingest)
+    layer_tracer = Tracer("layer", Level.LAYER, ingest)
+    clock = VirtualClock()
+    predict = start_span(model_tracer, clock.now, "predict")
+    for name in ("conv", "relu"):
+        layer = start_span(layer_tracer, clock.now, name)
+        clock.advance_us(1)
+        layer.finish()
+    predict.finish()
     trace = server.end_trace(tid)
     assert len(trace) == 3
     assert {s.tags["tracer"] for s in trace} == {"model", "layer"}
@@ -90,8 +73,8 @@ def test_multiple_tracers_aggregate_into_one_timeline():
 
 def test_clear():
     server = TracingServer()
-    server.begin_trace()
-    server.publish(_span("a"))
+    tid = server.begin_trace()
+    server.ingest_rows(tid, [_row("a")])
     server.clear()
     assert server.traces() == []
 
@@ -101,16 +84,12 @@ def test_end_trace_evicts_finished_trace():
     removes it from the server while the caller keeps the timeline."""
     server = TracingServer()
     tid = server.begin_trace(model="m")
-    server.publish(_span("a"))
+    server.ingest_rows(tid, [_row("a")])
     trace = server.end_trace(tid)
-    assert [s.name for s in trace.spans] == ["a"]  # caller owns the result
+    assert [s.name for s in trace] == ["a"]  # caller owns the result
     assert server.traces() == []  # server no longer holds it
-    try:
+    with pytest.raises(KeyError):
         server.get_trace(tid)
-    except KeyError:
-        pass
-    else:  # pragma: no cover - regression guard
-        raise AssertionError("ended trace still retrievable")
 
 
 def test_get_trace_still_serves_open_traces():
@@ -123,11 +102,11 @@ def test_get_trace_still_serves_open_traces():
 
 
 def test_many_trace_lifecycles_leave_server_empty():
-    """The profile-many-models lifecycle: begin/publish/end N times."""
+    """The profile-many-models lifecycle: begin/ingest/end N times."""
     server = TracingServer()
     for i in range(50):
         tid = server.begin_trace(run=i)
-        server.publish(_span(f"s{i}"))
+        server.ingest_rows(tid, [_row(f"s{i}")])
         trace = server.end_trace(tid)
         assert len(trace) == 1
     assert server.traces() == []
@@ -136,16 +115,18 @@ def test_many_trace_lifecycles_leave_server_empty():
 
 def test_publish_after_end_is_dropped_not_resurrected():
     """Regression: a late publish addressed to an ended trace must not
-    re-create an orphan timeline in the server (unbounded growth again)."""
+    re-create an orphan timeline in the server (unbounded growth again):
+    it raises, and the caller's timeline is untouched."""
     server = TracingServer()
     tid = server.begin_trace()
-    server.publish(_span("on-time"))
+    server.ingest_rows(tid, [_row("on-time")])
     trace = server.end_trace(tid)
-    late = _span("late")
-    late.trace_id = tid
-    server.publish(late)
+    with pytest.raises(KeyError):
+        server.publish_rows(tid, [_row("late")])
+    with pytest.raises(KeyError):
+        server.ingest_rows(tid, [_row("late")])
     assert server.traces() == []  # nothing resurrected server-side
-    assert [s.name for s in trace.spans] == ["on-time"]
+    assert [s.name for s in trace] == ["on-time"]
 
 
 def test_eviction_state_is_bounded_across_many_lifecycles():
@@ -153,11 +134,10 @@ def test_eviction_state_is_bounded_across_many_lifecycles():
     server = TracingServer()
     for i in range(200):
         tid = server.begin_trace()
-        server.publish(_span(f"s{i}"))
+        server.ingest_rows(tid, [_row(f"s{i}")])
         server.end_trace(tid)
     assert server.traces() == []
-    # O(1) bookkeeping: a single watermark int, not a per-trace id set.
-    assert isinstance(server._ended_watermark, int)
+    # No per-trace bookkeeping outlives the trace.
     assert not any(
         isinstance(v, (set, list, dict)) and len(v) >= 200
         for v in vars(server).values()
@@ -168,17 +148,17 @@ def test_publish_after_clear_is_dropped_too():
     """clear() must not let late publishes revive cleared traces."""
     server = TracingServer()
     tid = server.begin_trace()
-    server.publish(_span("pre-clear"))
+    server.ingest_rows(tid, [_row("pre-clear")])
     server.clear()
-    late = _span("late")
-    late.trace_id = tid
-    server.publish(late)
+    with pytest.raises(KeyError):
+        server.publish_rows(tid, [_row("late")])
     assert server.traces() == []
 
 
 def test_publication_builds_a_trace_only_on_a_miss(monkeypatch):
     """Publishing into an existing trace must not construct (and throw
-    away) a Trace with a fresh SpanTable per span."""
+    away) a Trace with a fresh SpanTable per batch; a miss raises and
+    builds nothing either."""
     import repro.tracing.server as server_mod
     from repro.tracing.trace import Trace
 
@@ -195,13 +175,13 @@ def test_publication_builds_a_trace_only_on_a_miss(monkeypatch):
     server = TracingServer()
     tid = server.begin_trace()
     for i in range(5):
-        server.publish(_span(f"p{i}", i, i + 1))
-    server.publish_many(_span(f"m{i}", i, i + 1) for i in range(5))
+        server.ingest_rows(tid, [_row(f"p{i}", i, i + 1)])
+    server.publish_rows(tid, (_row(f"m{i}", i, i + 1) for i in range(5)))
     assert len(built) == 1  # begin_trace's
     assert len(server.end_trace(tid)) == 10
-    # A span addressed to an unknown open id creates its trace once.
-    server.publish_many(_span(f"o{i}") for i in range(3))
-    assert len(built) == 2
+    with pytest.raises(KeyError):
+        server.publish_rows(tid + 1000, (_row(f"o{i}") for i in range(3)))
+    assert len(built) == 1
 
 
 def test_ingest_rows_appends_without_publishing_rows(monkeypatch):
@@ -212,7 +192,7 @@ def test_ingest_rows_appends_without_publishing_rows(monkeypatch):
     monkeypatch.setattr(server, "publish_rows",
                         lambda *a, **k: published.append(a))
     tid = server.begin_trace()
-    server.publish(_span("first"))
+    server.ingest_rows(tid, [_row("first")])
     stream = server.stream(tid)
     rows = [dict(name=f"r{i}", start_ns=i, end_ns=i + 1, level=Level.LAYER,
                  span_id=100 + i, tags={"tracer": "layer_tracer"})
@@ -226,4 +206,4 @@ def test_ingest_rows_appends_without_publishing_rows(monkeypatch):
     batch = stream.poll()
     assert (batch.start, batch.stop) == (0, 4)
     trace = server.end_trace(tid)
-    assert [s.name for s in trace.spans] == ["first", "r0", "r1", "r2"]
+    assert [s.name for s in trace] == ["first", "r0", "r1", "r2"]

@@ -152,12 +152,12 @@ def test_view_equality_and_span_equality():
     trace = Trace(trace_id=3)
     span = _span(5, tags={"a": 1})
     trace.add(span)
-    view = trace.spans[0]
-    assert view == trace.spans[0]
+    view = trace.table.view(0)
+    assert view == trace.table.view(0)
     assert view == span and span == view
     other = _span(6)
     trace.add(other)
-    assert view != trace.spans[1]
+    assert view != trace.table.view(1)
     assert view != other
 
 
@@ -165,45 +165,9 @@ def test_view_is_unhashable_like_span():
     trace = Trace(trace_id=1)
     trace.add(_span(1))
     with pytest.raises(TypeError):
-        hash(trace.spans[0])
+        hash(trace.table.view(0))
     with pytest.raises(TypeError):
         hash(_span(2))
-
-
-def test_to_span_detaches():
-    trace = Trace(trace_id=1)
-    trace.add(_span(1, tags={"tracer": "gpu"}))
-    detached = trace.table.to_span(0)
-    detached.tags["x"] = 1
-    detached.parent_id = 99
-    assert dict(trace.table.iter_tags(0)) == {"tracer": "gpu"}
-    assert trace.table.parent_id_of(0) is None
-
-
-# -- the span sequence ------------------------------------------------------
-
-
-def test_span_sequence_supports_list_protocol():
-    trace = Trace(trace_id=1)
-    for i in range(1, 6):
-        trace.add(_span(i))
-    seq = trace.spans
-    assert len(seq) == 5 and bool(seq)
-    assert seq[0].span_id == 1 and seq[-1].span_id == 5
-    assert [s.span_id for s in seq[1:3]] == [2, 3]
-    assert random.Random(0).choice(seq).span_id in range(1, 6)
-    with pytest.raises(IndexError):
-        seq[5]
-    assert not Trace(trace_id=2).spans
-
-
-def test_span_sequence_append_is_caught_by_index():
-    trace = Trace(trace_id=1)
-    trace.add(_span(1))
-    trace.sorted_spans()  # build index
-    trace.spans.append(_span(2, trace_id=42))  # raw append keeps trace_id
-    assert 2 in trace.by_id()
-    assert trace.by_id()[2].trace_id == 42
 
 
 # -- numpy fallback parity --------------------------------------------------
@@ -290,7 +254,7 @@ def _live_snapshot(trace: Trace):
 
 
 def _fuzz_incremental_maintenance(seed: int) -> None:
-    """Random interleavings of add / add_row / publish_many / queries /
+    """Random interleavings of add / add_row / ingest_rows / queries /
     touch_parents; after every mutation burst the live (incrementally
     advanced) index must answer every query family exactly like a cold
     rebuild of the same trace."""
@@ -302,14 +266,14 @@ def _fuzz_incremental_maintenance(seed: int) -> None:
     trace = server.get_trace(tid)
     next_id = 1
 
-    def random_span():
+    def random_fields():
         nonlocal next_id
         start = rng.randint(0, 20_000)
-        span = Span(
-            f"op{rng.randint(0, 3)}",
-            start,
-            start + rng.randint(0, 800),
-            rng.choice(list(Level)),
+        fields = dict(
+            name=f"op{rng.randint(0, 3)}",
+            start_ns=start,
+            end_ns=start + rng.randint(0, 800),
+            level=rng.choice(list(Level)),
             span_id=next_id,
             kind=rng.choice(list(SpanKind)),
             parent_id=rng.choice([None, rng.randint(1, 60)]),
@@ -317,27 +281,19 @@ def _fuzz_incremental_maintenance(seed: int) -> None:
             tags=rng.choice([None, {"tracer": "gpu"}, {"idx": next_id}]),
         )
         next_id += 1
-        return span
+        return fields
 
     for step in range(120):
         op = rng.randrange(5)
         if op == 0:
-            trace.add(random_span())
+            trace.add(Span(**random_fields()))
         elif op == 1:
-            span = random_span()
-            trace.add_row(
-                name=span.name,
-                start_ns=span.start_ns,
-                end_ns=span.end_ns,
-                level=span.level,
-                span_id=span.span_id,
-                kind=span.kind,
-                parent_id=span.parent_id,
-                correlation_id=span.correlation_id,
-            )
+            fields = random_fields()
+            del fields["tags"]
+            trace.add_row(**fields)
         elif op == 2:
-            server.publish_many(
-                random_span() for _ in range(rng.randint(1, 12))
+            server.ingest_rows(
+                tid, (random_fields() for _ in range(rng.randint(1, 12)))
             )
         elif op == 3 and len(trace) > 0:
             # Query a random family to force structures live mid-growth.
@@ -354,7 +310,7 @@ def _fuzz_incremental_maintenance(seed: int) -> None:
         elif op == 4 and len(trace) > 0:
             # Post-hoc parent edit through a view + touch_parents.
             row = rng.randrange(len(trace))
-            view = trace.spans[row]
+            view = trace.table.view(row)
             view.parent_id = rng.choice([None, rng.randint(1, 60)])
             trace.touch_parents()
         if step % 13 == 0 and len(trace) > 0:

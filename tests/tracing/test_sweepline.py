@@ -41,13 +41,13 @@ def _random_forest(rng: random.Random, n_spans: int) -> Trace:
         sid += 1
         level = rng.choice(LEVELS)
         style = rng.random()
-        if style < 0.15 and t.spans:
+        if style < 0.15 and len(t):
             # Clone an existing interval (identical-interval ambiguity food).
-            other = rng.choice(t.spans)
+            other = t.table.view(rng.randrange(len(t)))
             start, end = other.start_ns, other.end_ns
-        elif style < 0.45 and t.spans:
+        elif style < 0.45 and len(t):
             # Nest inside an existing span.
-            outer = rng.choice(t.spans)
+            outer = t.table.view(rng.randrange(len(t)))
             if outer.duration_ns >= 2:
                 start = rng.randint(outer.start_ns, outer.end_ns - 1)
                 end = rng.randint(start, outer.end_ns)
@@ -65,7 +65,7 @@ def _random_forest(rng: random.Random, n_spans: int) -> Trace:
 
 
 def _parents(trace: Trace) -> dict[int, int | None]:
-    return {s.span_id: s.parent_id for s in trace.spans}
+    return {s.span_id: s.parent_id for s in trace}
 
 
 def _run(trace: Trace, *, strict: bool, engine: str, since_row: int = 0):
@@ -154,7 +154,7 @@ def test_sweep_matches_tree_over_increments(seed):
         seen = 0
         steps = []
         for cut in cuts:
-            for view in source.spans[seen:cut]:
+            for view in map(source.table.view, range(seen, cut)):
                 live.add(Span(view.name, view.start_ns, view.end_ns,
                               view.level, span_id=view.span_id,
                               kind=view.kind))

@@ -22,7 +22,7 @@ def _random_trace(n=120, seed=5):
 
 def test_indexed_queries_match_naive_scans():
     t = _random_trace()
-    spans = t.spans
+    spans = list(t)
     assert t.sorted_spans() == sorted(
         spans, key=lambda s: (s.start_ns, -s.duration_ns)
     )
@@ -60,7 +60,7 @@ def test_index_is_reused_across_queries():
 def test_add_invalidates_index():
     t = _random_trace()
     assert len(t.at_level(Level.MODEL)) == sum(
-        1 for s in t.spans if s.level == Level.MODEL
+        1 for s in t if s.level == Level.MODEL
     )
     before = len(t.at_level(Level.MODEL))
     t.add(Span("late", 0, 1, Level.MODEL, span_id=999))
@@ -71,7 +71,7 @@ def test_add_invalidates_index():
 def test_direct_span_list_append_is_caught_by_length_check():
     t = _random_trace()
     t.sorted_spans()  # build the index
-    t.spans.append(Span("sneaky", 0, 5, Level.MODEL, span_id=1000))
+    t.table.append(Span("sneaky", 0, 5, Level.MODEL, span_id=1000))
     assert 1000 in t.by_id()
 
 
@@ -84,7 +84,7 @@ def test_returned_containers_are_copies():
     ordered = t.sorted_spans()
     ordered.reverse()
     assert t.sorted_spans() == sorted(
-        t.spans, key=lambda s: (s.start_ns, -s.duration_ns)
+        t, key=lambda s: (s.start_ns, -s.duration_ns)
     )
 
 

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import threading
 
-from repro.tracing import Level, Span, TracingServer
+from repro.tracing import Level, TracingServer
 
 
-def _span(i: int, start: int = 0, end: int = 10, level=Level.MODEL):
-    return Span(f"s{i}", start, end, level, span_id=i)
+def _row(i: int, start: int = 0, end: int = 10, level=Level.MODEL):
+    return dict(name=f"s{i}", start_ns=start, end_ns=end, level=level,
+                span_id=i)
 
 
 def test_poll_yields_contiguous_batches():
@@ -16,12 +17,12 @@ def test_poll_yields_contiguous_batches():
     tid = server.begin_trace()
     stream = server.stream(tid)
     assert stream.poll() is None
-    server.publish_many(_span(i, i, i + 1) for i in range(1, 4))
+    server.publish_rows(tid, (_row(i, i, i + 1) for i in range(1, 4)))
     batch = stream.poll()
     assert (batch.start, batch.stop) == (0, 3)
     assert list(batch) == [0, 1, 2]
     assert [v.span_id for v in batch.views()] == [1, 2, 3]
-    server.publish(_span(4, 10, 11))
+    server.publish_rows(tid, [_row(4, 10, 11)])
     batch = stream.poll()
     assert (batch.start, batch.stop) == (3, 4)
     assert stream.poll() is None
@@ -32,7 +33,7 @@ def test_poll_max_rows_windows():
     server = TracingServer()
     tid = server.begin_trace()
     stream = server.stream(tid)
-    server.publish_many(_span(i, i, i + 1) for i in range(1, 8))
+    server.publish_rows(tid, (_row(i, i, i + 1) for i in range(1, 8)))
     sizes = []
     while True:
         batch = stream.poll(max_rows=3)
@@ -53,7 +54,7 @@ def test_at_end_after_end_trace():
     server = TracingServer()
     tid = server.begin_trace()
     stream = server.stream(tid)
-    server.publish(_span(1))
+    server.publish_rows(tid, [_row(1)])
     assert not stream.at_end
     server.end_trace(tid)
     assert not stream.at_end  # one row still unread
@@ -65,7 +66,7 @@ def test_at_end_after_end_trace():
 def test_iteration_terminates_when_trace_ends():
     server = TracingServer()
     tid = server.begin_trace()
-    server.publish_many(_span(i, i, i + 1) for i in range(1, 6))
+    server.publish_rows(tid, (_row(i, i, i + 1) for i in range(1, 6)))
     stream = server.stream(tid)
     server.end_trace(tid)
     rows = [row for batch in stream for row in batch]
@@ -78,8 +79,8 @@ def test_read_blocks_until_publication():
     stream = server.stream(tid)
 
     def produce():
-        server.publish(_span(1))
-        server.publish(_span(2))
+        server.publish_rows(tid, [_row(1)])
+        server.publish_rows(tid, [_row(2)])
         server.end_trace(tid)
 
     producer = threading.Thread(target=produce)
@@ -104,9 +105,7 @@ def test_read_timeout_not_restarted_by_other_traces():
     def chatter():
         i = 1
         while not stop.is_set():
-            span = _span(i)
-            span.trace_id = busy
-            server.publish(span)
+            server.publish_rows(busy, [_row(i)])
             i += 1
             time.sleep(0.01)
 
@@ -139,8 +138,8 @@ def test_publish_rows_streams_span_free():
     batch = stream.read()
     assert [batch.table.name_of(r) for r in batch] == ["r0", "r1", "r2"]
     trace = server.end_trace(tid)
-    assert [s.span_id for s in trace.spans] == [100, 101, 102]
-    assert all(s.trace_id == tid for s in trace.spans)
+    assert [s.span_id for s in trace] == [100, 101, 102]
+    assert all(s.trace_id == tid for s in trace)
 
 
 def test_publish_rows_to_ended_trace_raises():
@@ -162,7 +161,7 @@ def test_stream_survives_trace_end_eviction():
     server = TracingServer()
     tid = server.begin_trace()
     stream = server.stream(tid)
-    server.publish_many(_span(i, i, i + 1) for i in range(1, 4))
+    server.publish_rows(tid, (_row(i, i, i + 1) for i in range(1, 4)))
     server.end_trace(tid)
     assert server.traces() == []
     assert len(stream.read()) == 3
@@ -181,7 +180,7 @@ def test_clear_closes_open_traces():
     server = TracingServer()
     tid = server.begin_trace()
     stream = server.stream(tid)
-    server.publish(_span(1))
+    server.publish_rows(tid, [_row(1)])
     server.clear()
     assert len(stream.read()) == 1
     assert stream.at_end
@@ -193,13 +192,13 @@ def test_mid_capture_queries_advance_not_rebuild():
     server = TracingServer()
     tid = server.begin_trace()
     trace = server.get_trace(tid)
-    server.publish_many(
-        _span(i, 100 * i, 100 * i + 50, Level.GPU_KERNEL) for i in range(1, 5)
-    )
+    server.publish_rows(tid, (
+        _row(i, 100 * i, 100 * i + 50, Level.GPU_KERNEL) for i in range(1, 5)
+    ))
     index = trace.index
     assert len(trace.sorted_spans()) == 4
-    server.publish_many(
-        _span(i, 100 * i, 100 * i + 50, Level.GPU_KERNEL) for i in range(5, 9)
-    )
+    server.publish_rows(tid, (
+        _row(i, 100 * i, 100 * i + 50, Level.GPU_KERNEL) for i in range(5, 9)
+    ))
     assert trace.index is index  # advanced in place, not rebuilt
     assert [s.span_id for s in trace.sorted_spans()] == list(range(1, 9))

@@ -1,60 +1,18 @@
 """Unit tests for tracers."""
 
-from repro.tracing import BufferingTracer, Level, NoopTracer, Span
-
-
-def test_buffering_tracer_buffers_and_forwards():
-    sink_calls = []
-    t = BufferingTracer("t", Level.LAYER, sink_calls.append)
-    t.span("op", 0, 10)
-    assert len(t.buffer) == 1
-    assert len(sink_calls) == 1
-    assert sink_calls[0].name == "op"
+from repro.core.api import start_span
+from repro.sim import VirtualClock
+from repro.tracing import Level, Tracer
 
 
 def test_tracer_tags_origin():
-    t = BufferingTracer("layer_tracer", Level.LAYER)
-    s = t.span("op", 0, 10)
+    t = Tracer("layer_tracer", Level.LAYER)
+    s = start_span(t, VirtualClock().now, "op").finish()
     assert s.tags["tracer"] == "layer_tracer"
 
 
-def test_disabled_tracer_drops_spans():
-    t = BufferingTracer("t", Level.LAYER)
-    t.disable()
-    t.span("op", 0, 10)
-    assert t.buffer == []
-    t.enable()
-    t.span("op2", 0, 10)
-    assert len(t.buffer) == 1
-
-
-def test_noop_tracer_never_emits():
-    t = NoopTracer("noop", Level.MODEL)
-    t.span("op", 0, 10)
-    # NoopTracer has no buffer; publishing must simply not raise.
-    assert t.enabled
-
-
 def test_span_level_comes_from_tracer():
-    t = BufferingTracer("t", Level.GPU_KERNEL)
-    s = t.span("kernel", 0, 5)
+    t = Tracer("t", Level.GPU_KERNEL)
+    s = start_span(t, VirtualClock().now, "kernel").finish()
     assert s.level == Level.GPU_KERNEL
 
-
-def test_timed_span_context_manager():
-    clock = {"now": 100}
-    t = BufferingTracer("t", Level.MODEL)
-    with t.timed_span("region", lambda: clock["now"]) as span:
-        clock["now"] = 400
-    assert span.start_ns == 100
-    assert span.end_ns == 400
-    assert t.buffer == [span]
-
-
-def test_drain_clears_buffer():
-    t = BufferingTracer("t", Level.LAYER)
-    t.span("a", 0, 1)
-    t.span("b", 1, 2)
-    drained = t.drain()
-    assert [s.name for s in drained] == ["a", "b"]
-    assert t.buffer == []
