@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import MLG, ProfilingConfig, XSPSession
+from repro.core import MLG, ProfilingConfig, XSPSession, profile_from_trace
 from repro.models import get_model
 
 BATCH = 16
@@ -41,12 +41,12 @@ def test_serialized_profiling_same_attribution(benchmark, session, graph):
     async_run = session.profile(
         graph, BATCH, ProfilingConfig(levels=MLG, metrics=())
     )
-    serialized_kernels = {
-        (k.name, layer) for layer, ks in run.kernels_by_layer().items()
-        for k in ks
-    }
-    async_kernels = {
-        (k.name, layer) for layer, ks in async_run.kernels_by_layer().items()
-        for k in ks
-    }
+    serialized = profile_from_trace(run.trace)
+    asynchronous = profile_from_trace(async_run.trace)
+    # Every kernel of both runs found its layer ...
+    assert len(serialized.kernels) == len(run.kernels)
+    assert len(asynchronous.kernels) == len(async_run.kernels)
+    # ... and the same one.
+    serialized_kernels = {(k.name, k.layer_index) for k in serialized.kernels}
+    async_kernels = {(k.name, k.layer_index) for k in asynchronous.kernels}
     assert serialized_kernels == async_kernels

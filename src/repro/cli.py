@@ -26,6 +26,7 @@ from repro.core import (
     ProfileStore,
     ProfilingConfig,
     XSPSession,
+    profile_from_trace,
 )
 from repro.frameworks.optimizer import UnsupportedOpError
 from repro.models import get_model, list_models
@@ -48,6 +49,23 @@ def _model_entry(key: int | str):
         return get_model(key)
     except KeyError as err:
         raise _UnknownModelError(err.args[0]) from None
+
+
+class _UsageError(Exception):
+    """A malformed option value: one error line, exit status 2."""
+
+
+def _batch_list(spec: str, option: str) -> list[int]:
+    """Parse a comma-separated list of positive batch sizes."""
+    batches = []
+    for item in spec.split(","):
+        item = item.strip()
+        if not item.isdigit() or int(item) < 1:
+            raise _UsageError(
+                f"{option} {spec!r}: {item!r} is not a positive integer"
+            )
+        batches.append(int(item))
+    return batches
 
 
 def _add_target_args(
@@ -213,9 +231,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    batches = _batch_list(args.batches, "--batches")
     entry = _model_entry(args.model)
     session = XSPSession(args.system, args.framework)
-    batches = [int(b) for b in args.batches.split(",")]
     curve = throughput_curve(session, entry.graph, batches)
     print(f"{entry.name} on {args.system} ({args.framework})")
     print(f"{'batch':>6} {'latency (ms)':>14} {'inputs/s':>10}")
@@ -315,7 +333,7 @@ def _sweep_batches(spec: str, batch: int) -> list[int]:
             batches.append(b)
             b *= 2
         return batches
-    return [int(b) for b in spec.split(",")]
+    return _batch_list(spec, "--sweep")
 
 
 def _print_insight_report(report, args: argparse.Namespace) -> None:
@@ -330,11 +348,10 @@ def _print_insight_report(report, args: argparse.Namespace) -> None:
 def _advise_from_trace(args: argparse.Namespace) -> int:
     """Insights over an exported capture — no re-profiling.
 
-    Reuses the diff machinery's ``profile_from_trace`` single-run view,
+    Builds the capture's single-run view with ``profile_from_trace``,
     and hands the rules the raw trace too, so the timeline rules (idle
     bubbles etc.) run against the capture's real schedule.
     """
-    from repro.analysis.diff.sources import profile_from_trace
     from repro.insights import advise as run_rules
     from repro.tracing.export import load_trace
 
@@ -385,6 +402,7 @@ def cmd_advise(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     entry = _model_entry(args.model)
+    sweep_batches = _sweep_batches(args.sweep, args.batch)
     session = XSPSession(args.system, args.framework)
     try:
         store = _open_store(args.cache_dir)
@@ -394,8 +412,7 @@ def cmd_advise(args: argparse.Namespace) -> int:
     if args.live:
         return _advise_live(pipeline, entry.graph, args)
     report = pipeline.advise(
-        entry.graph, args.batch,
-        sweep_batches=_sweep_batches(args.sweep, args.batch),
+        entry.graph, args.batch, sweep_batches=sweep_batches
     )
     _print_insight_report(report, args)
     return 0
@@ -435,7 +452,7 @@ def _resolve_diff_side(spec: str, args: argparse.Namespace, store):
             "spec like model=7,batch=256"
         )
     coords = _parse_coordinates(spec)
-    entry = get_model(_model_key(coords["model"]))
+    entry = _model_entry(_model_key(coords["model"]))
     session = XSPSession(
         coords.get("system", "Tesla_V100"),
         coords.get("framework", "tensorflow_like"),
@@ -459,7 +476,9 @@ def cmd_diff(args: argparse.Namespace) -> int:
         baseline = _resolve_diff_side(args.baseline, args, store)
         candidate = _resolve_diff_side(args.candidate, args, store)
     except (ValueError, OSError, KeyError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message; print the message.
+        message = err.args[0] if isinstance(err, KeyError) else err
+        print(f"error: {message}", file=sys.stderr)
         return 2
     diff = diff_profiles(baseline, candidate)
     if args.as_json:
@@ -500,6 +519,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (UnsupportedOpError, _UnknownModelError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except _UsageError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

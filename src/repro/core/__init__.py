@@ -8,7 +8,8 @@ This package is the paper's primary contribution:
 * :mod:`repro.core.session`   — XSPSession: wires tracers into one run and
                                 aggregates spans into a timeline trace
 * :mod:`repro.core.leveled`   — leveled experimentation (Sec. III-C)
-* :mod:`repro.core.pipeline`  — multi-run pipeline + trimmed-mean profiles
+* :mod:`repro.core.pipeline`  — the trace-to-profile builder, multi-run
+                                pipeline + trimmed-mean profiles
 * :mod:`repro.core.cache`     — persistent on-disk profile store
 * :mod:`repro.core.stats`     — statistical summaries
 """
@@ -23,6 +24,7 @@ from repro.core.pipeline import (
     KernelProfile,
     LayerProfile,
     ModelProfile,
+    profile_from_trace,
 )
 from repro.core.cache import ProfileStore
 from repro.core.stats import trimmed_mean
@@ -46,6 +48,7 @@ __all__ = [
     "SpanScope",
     "XSPSession",
     "finish_span",
+    "profile_from_trace",
     "start_span",
     "trimmed_mean",
 ]

@@ -7,7 +7,8 @@ level's numbers from the run where that level is the deepest enabled one:
 
 * model latency          <- the M runs,
 * per-layer latencies    <- the M/L runs,
-* per-kernel information <- the M/L/G runs.
+* per-kernel information <- the M/L/G runs with metric collection
+  (the "M/L/G+metrics" rung).
 
 The overhead introduced *at* level n+1 is quantified "by subtracting the
 latency of the event when profilers up to level n are enabled from the
@@ -17,9 +18,8 @@ latency when profilers up to level n+1 are enabled".
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
-from repro.core.levels import LADDER, ProfilingLevelSet
+from repro.core.levels import LADDER
 from repro.core.session import ProfiledRun, ProfilingConfig, XSPSession
 from repro.core.stats import Statistic, trimmed_mean
 from repro.frameworks.graph import Graph
@@ -75,7 +75,8 @@ class LeveledResult:
 
 
 class LeveledExperiment:
-    """Drives the M -> M/L -> M/L/G ladder with repetitions."""
+    """Drives the M -> M/L -> M/L/G ladder with repetitions, then the
+    M/L/G+metrics collection runs."""
 
     def __init__(
         self,
@@ -83,16 +84,12 @@ class LeveledExperiment:
         *,
         runs_per_level: int = 3,
         statistic: Statistic = trimmed_mean,
-        metrics: Sequence[str] = SUPPORTED_METRICS,
-        ladder: Sequence[ProfilingLevelSet] = LADDER,
     ) -> None:
         if runs_per_level < 1:
             raise ValueError("runs_per_level must be >= 1")
         self.session = session
         self.runs_per_level = runs_per_level
         self.statistic = statistic
-        self.metrics = tuple(metrics)
-        self.ladder = tuple(ladder)
 
     def run(self, graph: Graph, batch: int) -> LeveledResult:
         result = LeveledResult(
@@ -105,25 +102,21 @@ class LeveledExperiment:
         # Ladder rungs run with timeline capture only: kernel metric
         # collection replays kernels (DRAM counters cost >20 passes) and
         # would swamp the overhead subtraction the ladder exists for.
-        base = ProfilingConfig(metrics=())
-        for level_set in self.ladder:
-            config = replace(base, levels=level_set)
-            runs = []
-            for i in range(self.runs_per_level):
-                runs.append(
-                    self.session.profile(graph, batch, replace(config, run_index=i))
-                )
-            result.runs[level_set.label] = runs
+        rungs = [
+            (level_set.label, ProfilingConfig(levels=level_set, metrics=()))
+            for level_set in LADDER
+        ]
         # Dedicated metric-collection runs (nvprof-style): wall time is
         # heavily inflated by replay, but CUPTI reports clean single-pass
-        # kernel durations plus the requested counters.
-        if self.metrics:
-            deepest = self.ladder[-1]
-            config = ProfilingConfig(levels=deepest, metrics=self.metrics)
-            runs = []
-            for i in range(self.runs_per_level):
-                runs.append(
-                    self.session.profile(graph, batch, replace(config, run_index=i))
-                )
-            result.runs[deepest.label + "+metrics"] = runs
+        # kernel durations plus the counters.
+        deepest = LADDER[-1]
+        rungs.append((
+            deepest.label + "+metrics",
+            ProfilingConfig(levels=deepest, metrics=SUPPORTED_METRICS),
+        ))
+        for label, config in rungs:
+            result.runs[label] = [
+                self.session.profile(graph, batch, replace(config, run_index=i))
+                for i in range(self.runs_per_level)
+            ]
         return result

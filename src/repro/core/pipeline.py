@@ -6,6 +6,11 @@ measurements with a trimmed mean (paper Sec. III-D).  Its output is a
 :class:`ModelProfile` — the accurate, merged, across-stack view of one
 (model, system, framework, batch) combination — which all 15 analyses in
 :mod:`repro.analysis` consume.
+
+:func:`profile_from_trace` is the one trace-to-profile builder: it turns
+one correlated trace into a single-run profile view, and
+:meth:`AnalysisPipeline.merge` applies the statistic over those views of
+the leveled runs.
 """
 
 from __future__ import annotations
@@ -14,15 +19,17 @@ import logging
 import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.leveled import LeveledExperiment, LeveledResult
-from repro.core.session import ProfiledRun, ProfilingConfig, XSPSession
+from repro.core.session import ProfilingConfig, XSPSession
 from repro.core.stats import Statistic, trimmed_mean
 from repro.frameworks.graph import Graph
 from repro.sim.hardware import GPUSpec, get_system
-from repro.tracing.span import seed_span_ids
+from repro.tracing.span import Level, SpanKind, seed_span_ids
+from repro.tracing.table import _KIND_CODE, NONE_ID
+from repro.tracing.trace import Trace
 
 _log = logging.getLogger(__name__)
 
@@ -212,6 +219,111 @@ class ModelProfile:
     def memory_bound(self) -> bool:
         """Paper's roofline rule applied to the whole model (A15)."""
         return self.arithmetic_intensity < self.gpu.ideal_arithmetic_intensity
+
+
+_EXECUTION_CODE = _KIND_CODE[SpanKind.EXECUTION]
+
+
+def profile_from_trace(trace: Trace) -> ModelProfile:
+    """A single-run profile view of one captured across-stack trace.
+
+    Layer rows supply the layers (ordered by ``layer_index``), correlated
+    kernel execution rows supply each layer's kernels with their
+    ``metric.*`` tags, and the ``predict`` span the model latency.
+
+    Accuracy note (paper Sec. III-C): a trace mixes levels captured in
+    one run, so layer latencies carry the GPU-profiling overhead the
+    leveled pipeline removes — good enough for diffing two traces
+    captured the same way, not a substitute for the merged profile.
+
+    Consumes the trace's columnar storage directly (row partitions from
+    the index, read-only tag access) — no span objects are materialized.
+    """
+    table = trace.table
+    index = trace.index
+    starts = table.start_ns
+    ends = table.end_ns
+    span_ids = table.span_id
+    parents = table.parent_id
+    level_rows = index.level_rows()
+
+    tagged = [
+        (row, table.peek_tags(row)) for row in level_rows.get(Level.LAYER, ())
+    ]
+    tagged.sort(key=lambda item: item[1].get("layer_index", 0))
+    layers: list[LayerProfile] = []
+    by_layer_span: dict[int, LayerProfile] = {}
+    for row, tags in tagged:
+        layer = LayerProfile(
+            index=int(tags.get("layer_index", len(layers))),
+            name=table.name_of(row),
+            layer_type=str(tags.get("layer_type", "unknown")),
+            shape=tuple(tags.get("shape", ())),
+            latency_ms=(ends[row] - starts[row]) / 1e6,
+            alloc_bytes=int(tags.get("alloc_bytes", 0)),
+        )
+        layers.append(layer)
+        by_layer_span[span_ids[row]] = layer
+
+    def enclosing_layer(row: int) -> LayerProfile | None:
+        # With the library level captured, a kernel hangs off a
+        # cuDNN/cuBLAS API span, so walk the ancestor chain up to the
+        # enclosing layer.
+        row_by_id = index.row_by_id()
+        seen: set[int] = set()
+        parent_id = parents[row]
+        while parent_id != NONE_ID and parent_id not in seen:
+            layer = by_layer_span.get(parent_id)
+            if layer is not None:
+                return layer
+            seen.add(parent_id)
+            parent_row = row_by_id.get(parent_id)
+            parent_id = parents[parent_row] if parent_row is not None else NONE_ID
+        return None
+
+    kinds = table.kind
+    for row in level_rows.get(Level.GPU_KERNEL, ()):
+        if kinds[row] != _EXECUTION_CODE:
+            continue
+        layer = by_layer_span.get(parents[row]) or enclosing_layer(row)
+        if layer is None:
+            continue  # kernel outside any layer span
+        tags = table.peek_tags(row)
+        layer.kernels.append(
+            KernelProfile(
+                name=table.name_of(row),
+                layer_index=layer.index,
+                position=len(layer.kernels),
+                latency_ms=(ends[row] - starts[row]) / 1e6,
+                flops=float(tags.get("metric.flop_count_sp", 0.0)),
+                dram_read_bytes=float(tags.get("metric.dram_read_bytes", 0.0)),
+                dram_write_bytes=float(
+                    tags.get("metric.dram_write_bytes", 0.0)
+                ),
+                achieved_occupancy=float(
+                    tags.get("metric.achieved_occupancy", 0.0)
+                ),
+                grid=tuple(tags.get("grid", (1, 1, 1))),
+                block=tuple(tags.get("block", (1, 1, 1))),
+            )
+        )
+    predict = trace.first_named("predict")
+    if predict is not None:
+        model_latency_ms = predict.duration_ms
+    else:
+        lo, hi = trace.span_extent_ns()
+        model_latency_ms = (hi - lo) / 1e6
+    meta = trace.metadata
+    return ModelProfile(
+        model_name=str(meta.get("model", f"trace-{trace.trace_id}")),
+        system=str(meta.get("system", "unknown")),
+        framework=str(meta.get("framework", "unknown")),
+        batch=int(meta.get("batch", 1)),
+        model_latency_ms=model_latency_ms,
+        layers=layers,
+        n_runs=1,
+        metadata={"source": "trace", "trace_id": trace.trace_id},
+    )
 
 
 def _statistic_name(statistic: Statistic) -> str:
@@ -479,20 +591,41 @@ class AnalysisPipeline:
     def merge(self, leveled: LeveledResult) -> ModelProfile:
         """Combine per-level runs into one accurate profile.
 
-        Layer latencies come from the M/L runs (trimmed mean across
-        repetitions); kernel-to-layer attribution and kernel data come
-        from the M/L/G runs; the model latency comes from the M runs.
+        Applies the statistic over the :func:`profile_from_trace` views of
+        the runs.  Layer latencies come from the M/L runs (layers matched
+        by position); kernels come from the dedicated metric-collection
+        runs, whose CUPTI durations are clean single-pass times (matched
+        by layer index and position within the layer, the first run's
+        record supplying everything but the latency); the model latency
+        comes from the M runs.
         """
-        ml_runs = leveled.runs_at("M/L")
-        # Kernel data comes from the dedicated metric-collection runs when
-        # present (their CUPTI kernel durations are clean single-pass
-        # times); otherwise from the plain M/L/G rung.
-        try:
-            mlg_runs = leveled.runs_at("M/L/G+metrics")
-        except KeyError:
-            mlg_runs = leveled.runs_at("M/L/G")
-        layers = self._merge_layers(ml_runs)
-        self._attach_kernels(layers, mlg_runs)
+        statistic = self.statistic
+        ml_views = [
+            profile_from_trace(run.trace) for run in leveled.runs_at("M/L")
+        ]
+        # The first run's view is built here and owned by this call, so
+        # its layers take the merged latencies in place.
+        layers = ml_views[0].layers
+        for pos, layer in enumerate(layers):
+            layer.latency_ms = statistic([
+                view.layers[pos].latency_ms
+                for view in ml_views
+                if pos < len(view.layers)
+            ])
+        samples: dict[tuple[int, int], list[float]] = {}
+        prototypes: dict[tuple[int, int], KernelProfile] = {}
+        for run in leveled.runs_at("M/L/G+metrics"):
+            for kernel in profile_from_trace(run.trace).kernels:
+                key = (kernel.layer_index, kernel.position)
+                samples.setdefault(key, []).append(kernel.latency_ms)
+                prototypes.setdefault(key, kernel)
+        by_index = {layer.index: layer for layer in layers}
+        for key, prototype in sorted(prototypes.items()):
+            layer = by_index.get(key[0])
+            if layer is not None:
+                layer.kernels.append(
+                    replace(prototype, latency_ms=statistic(samples[key]))
+                )
         return ModelProfile(
             model_name=leveled.model_name,
             system=leveled.system,
@@ -501,84 +634,5 @@ class AnalysisPipeline:
             model_latency_ms=leveled.model_latency_ms,
             layers=layers,
             overheads=leveled.overhead_ladder(),
-            n_runs=len(ml_runs),
+            n_runs=len(ml_views),
         )
-
-    def _merge_layers(self, ml_runs: list[ProfiledRun]) -> list[LayerProfile]:
-        # One layer_spans() call per run, hoisted out of the per-position
-        # loop (the seed recomputed the level scan L times per run).
-        spans_per_run = [run.layer_spans() for run in ml_runs]
-        reference = spans_per_run[0]
-        merged: list[LayerProfile] = []
-        for pos, span in enumerate(reference):
-            latencies = []
-            for spans in spans_per_run:
-                if pos < len(spans):
-                    latencies.append(spans[pos].duration_ms)
-            merged.append(
-                LayerProfile(
-                    index=span.tags["layer_index"],
-                    name=span.name,
-                    layer_type=span.tags["layer_type"],
-                    shape=tuple(span.tags["shape"]),
-                    latency_ms=self.statistic(latencies),
-                    alloc_bytes=span.tags["alloc_bytes"],
-                )
-            )
-        return merged
-
-    def _attach_kernels(
-        self, layers: list[LayerProfile], mlg_runs: list[ProfiledRun]
-    ) -> None:
-        by_index = {layer.index: layer for layer in layers}
-        # Kernel latency statistics across the M/L/G repetitions, matched by
-        # (layer_index, position-within-layer).
-        latency_samples: dict[tuple[int, int], list[float]] = {}
-        reference: dict[tuple[int, int], KernelProfile] = {}
-        for run in mlg_runs:
-            for layer_index, kernels in run.kernels_by_layer().items():
-                for pos, mk in enumerate(kernels):
-                    key = (layer_index, pos)
-                    exec_span = mk.execution
-                    latency_samples.setdefault(key, []).append(
-                        exec_span.duration_ms
-                    )
-                    if key not in reference:
-                        metrics = mk.metrics
-                        reference[key] = KernelProfile(
-                            name=mk.name,
-                            layer_index=layer_index,
-                            position=pos,
-                            latency_ms=0.0,  # filled below
-                            flops=float(metrics.get("metric.flop_count_sp", 0.0)),
-                            dram_read_bytes=float(
-                                metrics.get("metric.dram_read_bytes", 0.0)
-                            ),
-                            dram_write_bytes=float(
-                                metrics.get("metric.dram_write_bytes", 0.0)
-                            ),
-                            achieved_occupancy=float(
-                                metrics.get("metric.achieved_occupancy", 0.0)
-                            ),
-                            grid=tuple(exec_span.tags.get("grid", (1, 1, 1))),
-                            block=tuple(exec_span.tags.get("block", (1, 1, 1))),
-                        )
-        for key, proto in sorted(reference.items()):
-            layer = by_index.get(key[0])
-            if layer is None:
-                continue  # kernel outside any layer (should not happen)
-            latency = self.statistic(latency_samples[key])
-            layer.kernels.append(
-                KernelProfile(
-                    name=proto.name,
-                    layer_index=proto.layer_index,
-                    position=proto.position,
-                    latency_ms=latency,
-                    flops=proto.flops,
-                    dram_read_bytes=proto.dram_read_bytes,
-                    dram_write_bytes=proto.dram_write_bytes,
-                    achieved_occupancy=proto.achieved_occupancy,
-                    grid=proto.grid,
-                    block=proto.block,
-                )
-            )

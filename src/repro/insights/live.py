@@ -3,8 +3,9 @@
 SysOM-AI-style during-the-run diagnosis for this stack: a
 :class:`LiveMonitor` attaches a :meth:`~repro.tracing.server.TracingServer.stream`
 cursor to an open trace, consumes row batches as tracers publish them,
-derives a single-run profile view of the partial capture
-(:func:`~repro.analysis.diff.sources.profile_from_trace`), and re-runs the
+derives a single-run profile view of the partial capture with the
+pipeline's one trace-to-profile builder
+(:func:`~repro.core.pipeline.profile_from_trace`), and re-runs the
 :class:`~repro.insights.engine.InsightEngine`, whose findings cache
 re-evaluates only rules whose ingredients changed since the last
 watermark, so a quiet capture costs nothing.
@@ -25,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator
 
+from repro.core.pipeline import profile_from_trace
 from repro.insights.engine import InsightContext, InsightEngine, InsightReport
 from repro.tracing.correlation import (
     LaunchExecutionState,
@@ -129,10 +131,6 @@ class LiveMonitor:
                 yield update
 
     def _refresh(self, new_rows: int, final: bool) -> LiveUpdate:
-        # Imported here: diff.sources imports the pipeline's profile
-        # model, which this package must not load at import time.
-        from repro.analysis.diff.sources import profile_from_trace
-
         trace = self.trace
         if self._correlate:
             # Pin the window [corr_rows, watermark) for this refresh:

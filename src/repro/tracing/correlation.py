@@ -27,9 +27,9 @@ boundary (:class:`AmbiguousParentError`, ``CorrelationResult.ambiguous``).
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, List
+from typing import List
 
 from repro.tracing.span import Level, SpanKind
 from repro.tracing.table import _KIND_CODE, NONE_ID, SpanTable, SpanView
@@ -68,20 +68,6 @@ class MergedKernel:
     launch: SpanView
     execution: SpanView
     parent_id: int | None
-
-    @property
-    def duration_ns(self) -> int:
-        """Effective kernel duration comes from the execution span."""
-        return self.execution.duration_ns
-
-    @property
-    def metrics(self) -> dict[str, Any]:
-        """GPU metrics are attached as metadata on the execution span."""
-        return {
-            k: v
-            for k, v in self.execution.iter_tags()
-            if k.startswith("metric.")
-        }
 
 
 @dataclass
@@ -419,18 +405,3 @@ def _choose_parent(
                 result.ambiguous.append(span)
                 return None
     return ordered[0]
-
-
-def build_hierarchy(trace: Trace, *, strict: bool = True) -> CorrelationResult:
-    """Full correlation pass: parents first, then launch/execution merging."""
-    result = reconstruct_parents(trace, strict=strict)
-    correlate_launch_execution(trace)
-    return result
-
-
-def kernels_by_parent(trace: Trace) -> dict[int | None, list[MergedKernel]]:
-    """Group merged kernels by their (layer) parent span id."""
-    grouped: dict[int | None, list[MergedKernel]] = defaultdict(list)
-    for mk in correlate_launch_execution(trace):
-        grouped[mk.parent_id].append(mk)
-    return dict(grouped)

@@ -71,3 +71,36 @@ def test_sweep_contains_all_batches(resnet50_sweep):
     assert sorted(resnet50_sweep) == [1, 4, 16, 32, 64, 256]
     for batch, profile in resnet50_sweep.items():
         assert profile.batch == batch
+
+
+def test_single_run_merge_equals_the_runs_profile_views(
+    v100_session, cnn_graph
+):
+    """One builder: with one run per level the statistic sees one sample,
+    so the merged profile is the runs' ``profile_from_trace`` views —
+    layers from the M/L run, kernels from the M/L/G+metrics run."""
+    from repro.core import AnalysisPipeline, profile_from_trace
+
+    pipeline = AnalysisPipeline(v100_session, runs_per_level=1)
+    leveled = pipeline.experiment.run(cnn_graph, 4)
+    merged = pipeline.merge(leveled)
+    (m_run,) = leveled.runs_at("M")
+    (ml_run,) = leveled.runs_at("M/L")
+    (metrics_run,) = leveled.runs_at("M/L/G+metrics")
+    layer_view = profile_from_trace(ml_run.trace)
+    kernel_view = profile_from_trace(metrics_run.trace)
+
+    def layer_fields(layer):
+        return (layer.index, layer.name, layer.layer_type, layer.shape,
+                layer.alloc_bytes, layer.latency_ms)
+
+    assert [layer_fields(l) for l in merged.layers] == [
+        layer_fields(l) for l in layer_view.layers
+    ]
+    # KernelProfile equality covers name, layer, position, latency, every
+    # metric, and grid/block.
+    assert merged.kernels
+    assert merged.kernels == kernel_view.kernels
+    assert merged.flops > 0
+    assert merged.model_latency_ms == m_run.model_latency_ms
+    assert merged.n_runs == 1

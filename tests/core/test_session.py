@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.core import M, ML, MLG, ProfilingConfig, XSPSession
+from repro.core import (
+    M,
+    ML,
+    MLG,
+    ProfilingConfig,
+    XSPSession,
+    profile_from_trace,
+)
 from repro.tracing import Level, SpanKind
 
 
@@ -37,14 +44,12 @@ def test_mlg_level_full_stack(v100_session, cnn_graph):
 
 def test_kernels_correlated_to_layers(v100_session, cnn_graph):
     run = _run(v100_session, cnn_graph)
-    by_layer = run.kernels_by_layer()
-    assert -1 not in by_layer  # every kernel found its layer
+    profile = profile_from_trace(run.trace)
+    # Every kernel found its layer.
+    assert len(profile.kernels) == len(run.kernels)
     # The first Conv2D layer owns at least one scudnn/implicit kernel.
-    layer_spans = {s.tags["layer_index"]: s for s in run.layer_spans()}
-    conv_idx = next(
-        i for i, s in layer_spans.items() if s.tags["layer_type"] == "Conv2D"
-    )
-    conv_kernel_names = [k.name for k in by_layer[conv_idx]]
+    conv = next(l for l in profile.layers if l.layer_type == "Conv2D")
+    conv_kernel_names = [k.name for k in conv.kernels]
     assert any("convolve" in n or "scudnn" in n for n in conv_kernel_names)
 
 
@@ -64,7 +69,10 @@ def test_layer_spans_nest_in_predict(v100_session, cnn_graph):
 
 def test_metrics_attached(v100_session, cnn_graph):
     run = _run(v100_session, cnn_graph)
-    flops = [k.metrics.get("metric.flop_count_sp") for k in run.kernels]
+    flops = [
+        dict(k.execution.iter_tags()).get("metric.flop_count_sp")
+        for k in run.kernels
+    ]
     assert any(f and f > 0 for f in flops)
 
 
@@ -99,7 +107,7 @@ def test_framework_aliases():
 
 def test_mxnet_session_profiles(mx_session, cnn_graph):
     run = _run(mx_session, cnn_graph)
-    types = {s.tags["layer_type"] for s in run.layer_spans()}
+    types = {s.tags["layer_type"] for s in run.trace.at_level(Level.LAYER)}
     assert "Convolution" in types
     assert "BatchNorm" in types
 

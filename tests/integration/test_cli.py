@@ -81,10 +81,36 @@ def test_unknown_model_errors(capsys):
     ["trace", "--model", "9999", "--stats"],
     ["advise", "--model", "9999"],
     ["advise", "--model", "NoSuchNet", "--live"],
+    ["diff", "model=9999,batch=1", "model=53,batch=1"],
 ])
 def test_unknown_model_exits_1_with_one_line(argv, capsys):
     assert main(argv) == 1
-    _assert_one_error_line(capsys, "9999" if "9999" in argv else "NoSuchNet")
+    # The message itself, not a quoted KeyError repr.
+    fragment = (
+        "NoSuchNet" if "NoSuchNet" in argv
+        else "error: no model with paper ID 9999"
+    )
+    _assert_one_error_line(capsys, fragment)
+
+
+@pytest.mark.parametrize("argv, bad_item", [
+    (["sweep", "--model", "53", "--batches", "1,x"], "'x'"),
+    (["sweep", "--model", "53", "--batches", "1,,2"], "''"),
+    (["sweep", "--model", "53", "--batches", "0,1"], "'0'"),
+    (["advise", "--model", "53", "--sweep", "1,y"], "'y'"),
+    (["advise", "--model", "53", "--sweep", "2,-4"], "'-4'"),
+    (["advise", "--model", "53", "--sweep", "1.5"], "'1.5'"),
+])
+def test_bad_batch_list_exits_2_with_one_line(argv, bad_item, capsys):
+    assert main(argv) == 2
+    option = "--batches" if argv[0] == "sweep" else "--sweep"
+    _assert_one_error_line(capsys, option, bad_item, "positive integer")
+
+
+def test_diff_unknown_system_is_one_unquoted_line(capsys):
+    assert main(["diff", "model=53,batch=1,system=NoSuchGPU",
+                 "model=53,batch=1"]) == 2
+    _assert_one_error_line(capsys, "error: unknown system 'NoSuchGPU'")
 
 
 # -- every subcommand smoke-tested through main(argv) ------------------------

@@ -182,7 +182,11 @@ def _query_snapshot(trace: Trace):
             for lvl, spans in ((l, trace.at_level(l)) for l in Level)
         },
         "by_kind": {
-            k.value: [s.span_id for s in trace.of_kind(k)] for k in SpanKind
+            k.value: [
+                trace.table.span_id[r]
+                for r in trace.index.kind_rows().get(k, [])
+            ]
+            for k in SpanKind
         },
         "extent": trace.span_extent_ns(),
         "roots": [s.span_id for s in trace.roots()],
